@@ -1,4 +1,4 @@
-//! Regenerates every table/figure of the reproduction (DESIGN.md §3).
+//! Regenerates every table/figure of the reproduction (T1, F1–F14).
 //!
 //! Usage:
 //!   experiments                 # run everything (a few minutes)
@@ -60,8 +60,6 @@
 //!                               # contract violation, or if the
 //!                               # incremental path fails to beat a
 //!                               # rebuild
-//!
-//! The output of a full run is recorded in EXPERIMENTS.md.
 
 use mpest_bench::experiments::{run, IDS};
 use mpest_bench::report::{save_json, Table};

@@ -1,4 +1,4 @@
-//! The per-table/per-figure experiment implementations (DESIGN.md §3).
+//! The per-table/per-figure experiment implementations (T1, F1–F14).
 //!
 //! Every function reproduces one row of the paper's results catalog:
 //! it runs the real protocol on bit-accounted transcripts, compares

@@ -5,9 +5,9 @@
 //! communication bounds in Section 1.2 and the theorems behind them.
 //! This crate regenerates that catalog *empirically*:
 //!
-//! * [`experiments`] — one function per experiment ID (T1, F1–F14; see
-//!   DESIGN.md §3) producing a [`report::Table`] of measured bits,
-//!   rounds, approximation quality, and fitted scaling exponents;
+//! * [`experiments`] — one function per experiment ID (T1, F1–F14)
+//!   producing a [`report::Table`] of measured bits, rounds,
+//!   approximation quality, and fitted scaling exponents;
 //! * [`fit`] — log-log power-law fitting for the scaling claims;
 //! * [`report`] — markdown + JSON table output;
 //! * [`batch`] — the batch-engine throughput trajectory behind the CI
@@ -35,9 +35,8 @@
 //!   gating on bit-identity and on every drifted contract holding.
 //!
 //! `cargo run --release -p mpest-bench --bin experiments` regenerates
-//! everything (the output recorded in EXPERIMENTS.md); the Criterion
-//! benches under `benches/` measure wall-clock cost of the same
-//! protocols and substrates.
+//! everything; the Criterion benches under `benches/` measure
+//! wall-clock cost of the same protocols and substrates.
 
 pub mod accuracy;
 pub mod batch;

@@ -6,7 +6,7 @@
 //! mirrors it exactly. Varints use 8-bit groups (7 payload bits plus a
 //! continuation bit), zigzag maps signed values onto unsigned ones, and
 //! `f64` values are shipped as raw IEEE-754 words (64 bits — the paper's
-//! `Õ(1)`-bit-per-entry convention, see DESIGN.md).
+//! `Õ(1)`-bit-per-entry convention).
 
 use crate::error::CommError;
 use bytes::Bytes;

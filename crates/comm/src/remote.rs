@@ -137,11 +137,12 @@ pub enum RemoteEvent {
 /// length-prefixed, versioned codec; tests implement it over in-memory
 /// pipes.
 ///
-/// The contract is *completion*, not blocking. The blocking reference
-/// implementation writes and reads synchronously, so two parties that
-/// both send before reading can stall once their payloads overflow the
-/// kernel socket buffers (surfaced as a typed write-timeout). The
-/// default readiness-driven implementation (`mpest-net`'s `DuplexConn`)
+/// The contract is *completion*, not blocking. A blocking implementation
+/// (`mpest-net`'s `FramedConn`) writes and reads synchronously, so two
+/// parties that both send before reading can stall once their payloads
+/// overflow the kernel socket buffers (surfaced as a typed
+/// write-timeout). The readiness-driven implementation every `mpest-net`
+/// host and initiator runs on (`DuplexConn`)
 /// instead *spools* sends and progresses both directions on kernel
 /// readiness inside every wait, so a send may return before its bytes
 /// hit the wire — but frames still arrive in order, byte-identical,

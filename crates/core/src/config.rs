@@ -7,8 +7,7 @@
 //! [`Constants::practical`] (the default) scales them down so the
 //! interesting code paths — subsampling levels, universe sampling,
 //! recovery — are actually exercised, while [`Constants::paper_faithful`]
-//! restores the paper's orders of magnitude for asymptotic audits. Every
-//! experiment in EXPERIMENTS.md records which preset it used.
+//! restores the paper's orders of magnitude for asymptotic audits.
 
 /// Multiplicative constants and repetition counts shared by the protocols.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -173,7 +173,7 @@ pub(crate) fn run_unchecked(
         beta_override: None,
     };
     // Universe sampling is public-coin (equivalent to the paper's
-    // Alice-side sampling up to Newman; documented in DESIGN.md).
+    // Alice-side sampling up to Newman's theorem).
     let universe_seed = pub_seed.derive("hh-universe");
     // The verification sampler is public-coin too, but its budget
     // depends on the phase-1 `Lp` estimate, so each party constructs it
@@ -252,7 +252,7 @@ pub(crate) fn run_unchecked(
             // quarter of a heavy entry's expected surviving mass
             // `β·(φ·L_p^p)^{1/p}` — same asymptotics as the paper's
             // `β^p·φL^p/20`, but a constant that actually prunes at
-            // laptop scale (see DESIGN.md).
+            // laptop scale.
             let tau_cand = beta * params.phi.powf(1.0 / p) * lp_norm_est / 4.0;
             let sa: Vec<(u32, u32)> = ca
                 .into_entries()

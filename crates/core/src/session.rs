@@ -170,34 +170,10 @@ impl Session {
         }
     }
 
-    /// Sets the session seed all per-query seeds derive from.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `Session::builder(a, b).seed(..).build()`"
-    )]
-    #[must_use]
-    pub fn with_seed(mut self, seed: Seed) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The session seed.
     #[must_use]
     pub fn seed(&self) -> Seed {
         self.seed
-    }
-
-    /// Selects the executor backend queries run on (default
-    /// [`ExecBackend::Fused`]). Backends are bit-identical — outputs and
-    /// transcripts never depend on this choice, only wall-clock does.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `Session::builder(a, b).executor(..).build()`"
-    )]
-    #[must_use]
-    pub fn with_executor(mut self, exec: ExecBackend) -> Self {
-        self.exec = exec;
-        self
     }
 
     /// The executor backend this session's queries run on.
@@ -685,8 +661,7 @@ fn warm_half(half: &Half, cache: &HalfCache) {
 }
 
 /// Builder for a [`Session`]: seed, executor, and view warming in one
-/// infallible chain (replaces the deprecated `with_seed`/`with_executor`
-/// post-hoc mutators).
+/// infallible chain.
 ///
 /// ```
 /// use mpest_core::Session;

@@ -3,8 +3,8 @@
 //! `Õ(n·√‖AB‖₀)` bits.
 //!
 //! The protocol of \[16\] is not restated in the paper, so we implement the
-//! min-side exchange that achieves the same interface and bound (see
-//! DESIGN.md): round 1 exchanges per-item weights `(u_k, v_k)`; round 2
+//! min-side exchange that achieves the same interface and bound: round 1
+//! exchanges per-item weights `(u_k, v_k)`; round 2
 //! ships, for each inner index `k`, the lighter of Alice's column and
 //! Bob's row, so each outer-product term is computed wholly by one party.
 //! Cost: `Σ_k min(u_k, v_k) ≤ Σ_k √(u_k v_k) ≤ √(n · ‖C‖₁)`, and for

@@ -30,8 +30,8 @@
 //! Chernoff step in Lemma 4.7 treats the `n` coordinates of a replicated
 //! row as independent, which the replication breaks. The *diagonal* gap
 //! — `max_i (AB)_{ii} ≥ n/k` iff `SUM = 1` — is exact and is what
-//! [`SumInstance::diag_max`] exposes; EXPERIMENTS.md (F9) reports both
-//! statistics.
+//! [`SumInstance::diag_max`] exposes; experiment F9 of `mpest-bench`
+//! reports both statistics.
 
 use mpest_matrix::BitMatrix;
 use rand::rngs::StdRng;

@@ -150,7 +150,7 @@ impl ServeClient {
     /// answers only if its cached session for the pair sits at
     /// `at_epoch`, and replies with a typed stale-epoch error otherwise
     /// (surfaced here as [`CommError::Protocol`] naming the current
-    /// identity). Requires a codec v3 connection.
+    /// identity).
     ///
     /// # Errors
     ///
@@ -211,8 +211,7 @@ impl ServeClient {
 
     /// Sends every query batch as its own *pipelined* message — frame
     /// ids `1..=k` — before reading any reply, then collects the `k`
-    /// replies in whatever order the daemon answers them. Requires a
-    /// codec v5 connection.
+    /// replies in whatever order the daemon answers them.
     ///
     /// The returned vector is ordered by input index, not by arrival:
     /// `result[i]` answers `batches[i]`. One pipelined query failing
@@ -220,29 +219,18 @@ impl ServeClient {
     /// without poisoning the connection or the other queries.
     ///
     /// On a cache miss the daemon answers a single `need-matrices` and
-    /// parks every pipelined query behind the upload — with the
-    /// readiness-driven reactor core (the daemon's default). The
-    /// blocking reference server interleaves the upload conversation
-    /// with the queued queries instead, so against `--io-mode blocking`
-    /// pipelining is only usable once the pair is already cached (warm
-    /// it with one [`ServeClient::query`] first).
+    /// parks every pipelined query behind the upload.
     ///
     /// # Errors
     ///
-    /// Transport errors, a pre-v5 connection, or a daemon reply that
-    /// breaks the pipelining contract (unknown or duplicate id).
+    /// Transport errors, or a daemon reply that breaks the pipelining
+    /// contract (unknown or duplicate id).
     pub fn query_pipelined(
         &mut self,
         a: &CsrMatrix,
         b: &CsrMatrix,
         batches: &[Vec<(u64, EstimateRequest)>],
     ) -> Result<Vec<Result<ReportsMsg, CommError>>, CommError> {
-        if self.conn.version() < 5 {
-            return Err(CommError::protocol(format!(
-                "pipelined queries need codec v5 but this connection negotiated v{}",
-                self.conn.version()
-            )));
-        }
         let (fp_a, fp_b) = (fingerprint(a), fingerprint(b));
         for (i, batch) in batches.iter().enumerate() {
             self.conn.send_msg(&ServiceMsg::Query(QueryMsg {
@@ -312,7 +300,7 @@ impl ServeClient {
     /// session — expecting it to sit at `expect_epoch`. On success the
     /// daemon has applied the batch incrementally and re-keyed the
     /// session under the returned fingerprints; apply the same batch to
-    /// the local mirror to stay in sync. Requires a codec v3 connection.
+    /// the local mirror to stay in sync.
     ///
     /// # Errors
     ///
@@ -358,18 +346,12 @@ impl ServeClient {
     /// Pulls the daemon's full observability-registry snapshot —
     /// every counter, gauge (with high-water mark), and sparse
     /// histogram the serving stack records — beyond the fixed fields
-    /// [`ServeClient::stats`] reports. Requires a codec v6 connection.
+    /// [`ServeClient::stats`] reports.
     ///
     /// # Errors
     ///
-    /// Transport errors, a pre-v6 connection, or an unexpected reply.
+    /// Transport errors or an unexpected reply.
     pub fn metrics(&mut self) -> Result<mpest_obs::Snapshot, CommError> {
-        if self.conn.version() < 6 {
-            return Err(CommError::protocol(format!(
-                "metrics need codec v6 but this connection negotiated v{}",
-                self.conn.version()
-            )));
-        }
         self.conn.send_msg(&ServiceMsg::Metrics)?;
         match self.recv_reply()? {
             ServiceMsg::MetricsReport(m) => Ok(m.snapshot),

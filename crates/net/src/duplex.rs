@@ -26,13 +26,13 @@
 //!   interleavings.
 //! - [`DuplexConn`]: `DuplexCore` bound to a nonblocking [`TcpStream`]
 //!   with `poll(2)`-based waits (the private `reactor` module). Implements
-//!   [`FrameIo`], preserving byte-identical frame layout and the
-//!   two-phase idle/in-flight deadline semantics of the blocking path —
-//!   deadlines are poll timeouts now, not 500ms stop-flag slices.
+//!   [`FrameIo`], with the frame layout and the two-phase idle/in-flight
+//!   deadline semantics of the blocking codec — deadlines are poll
+//!   timeouts, not stop-flag slices.
 //!
-//! The blocking [`FramedConn`] remains the reference implementation;
-//! everything it sends, this module sends byte-identically (both paths
-//! share one header encoder).
+//! The blocking [`FramedConn`] performs the handshake and remains the
+//! client codec; every frame this module sends is byte-identical to
+//! what it sends (both share one header encoder).
 
 use crate::codec::{
     build_header, check_bits, check_header, check_label, frame_to_event, io_to_comm, FramedConn,
@@ -47,36 +47,6 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
-
-/// Which I/O engine a connection (or serving loop) runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// Readiness-driven duplex I/O (the default): simultaneous rounds
-    /// of any size complete.
-    #[default]
-    Duplex,
-    /// The blocking reference implementation the equivalence suites
-    /// compare against. Subject to the documented full-duplex stall
-    /// (surfaced as a typed write-timeout).
-    Blocking,
-}
-
-impl IoMode {
-    /// Parses a CLI flag value (`"duplex"` or `"blocking"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted values.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "duplex" => Ok(Self::Duplex),
-            "blocking" => Ok(Self::Blocking),
-            other => Err(format!(
-                "unknown io mode {other:?} (expected \"duplex\" or \"blocking\")"
-            )),
-        }
-    }
-}
 
 // --- outgoing spool ---------------------------------------------------------
 
@@ -467,7 +437,6 @@ impl DuplexCore {
 pub struct DuplexConn {
     stream: TcpStream,
     core: DuplexCore,
-    version: u16,
     /// In-flight deadline: once work is pending in either direction,
     /// this bounds the wait for the next byte of progress.
     io_timeout: Option<Duration>,
@@ -477,8 +446,8 @@ pub struct DuplexConn {
 impl DuplexConn {
     /// Converts an established blocking connection (handshake done,
     /// counters running) into a duplex one. The socket switches to
-    /// nonblocking mode; byte counters and the negotiated version carry
-    /// over, and `io_timeout` becomes the in-flight deadline.
+    /// nonblocking mode; byte counters carry over, and `io_timeout`
+    /// becomes the in-flight deadline.
     ///
     /// # Errors
     ///
@@ -488,23 +457,16 @@ impl DuplexConn {
         conn: FramedConn<TcpStream>,
         io_timeout: Option<Duration>,
     ) -> Result<Self, CommError> {
-        let (stream, bytes_out, bytes_in, version) = conn.into_parts();
+        let (stream, bytes_out, bytes_in) = conn.into_parts();
         stream
             .set_nonblocking(true)
             .map_err(|e| io_to_comm("socket", "set_nonblocking failed", &e))?;
         Ok(Self {
             stream,
             core: DuplexCore::with_counters(bytes_out, bytes_in),
-            version,
             io_timeout,
             eof: false,
         })
-    }
-
-    /// The codec version negotiated at the handshake.
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Bytes the kernel accepted so far (headers + payloads +
@@ -520,8 +482,8 @@ impl DuplexConn {
         self.core.bytes_in
     }
 
-    /// Replaces the in-flight deadline (the duplex analogue of
-    /// [`FramedConn::set_timeouts`]; used to widen deadlines for a run).
+    /// Replaces the in-flight deadline (used to widen deadlines for a
+    /// run).
     pub fn set_io_timeout(&mut self, timeout: Option<Duration>) {
         self.io_timeout = timeout;
     }
@@ -658,10 +620,10 @@ impl DuplexConn {
     ///
     /// # Errors
     ///
-    /// The same version-gating and encoding errors as
-    /// [`FramedConn::send_msg`](crate::msg), plus any pump error.
+    /// The same encoding errors as [`FramedConn::send_msg`], plus any
+    /// pump error.
     pub fn send_msg(&mut self, msg: &ServiceMsg) -> Result<(), CommError> {
-        let (kind, name, bits, payload) = crate::msg::encode_service_frame(msg, self.version)?;
+        let (kind, name, bits, payload) = crate::msg::encode_service_frame(msg);
         self.core.queue_frame(kind, 0, name, bits, &payload)?;
         self.pump()?;
         Ok(())
@@ -681,7 +643,7 @@ impl DuplexConn {
     ) -> Result<Option<ServiceMsg>, CommError> {
         match self.recv_frame_patient(idle)? {
             None => Ok(None),
-            Some(frame) => crate::msg::decode_service_frame(&frame, self.version).map(Some),
+            Some(frame) => crate::msg::decode_service_frame(&frame).map(Some),
         }
     }
 
@@ -695,159 +657,12 @@ impl DuplexConn {
         self.recv_msg_patient(self.io_timeout)?
             .ok_or(CommError::ChannelClosed)
     }
-}
-
-/// The service-conversation surface a serving loop needs, implemented
-/// by both the blocking reference connection ([`FramedConn`] over TCP)
-/// and the duplex one ([`DuplexConn`]) — so party hosts and the serve
-/// daemon run one generic loop and the [`IoMode`] choice is a single
-/// dispatch at accept/connect time.
-///
-/// Stop signals are deliberately *not* part of this trait: serving
-/// loops park in an external readiness wait
-/// (`reactor::wait_ready(conn.raw_fd(), ...)`) that watches the socket
-/// and the stop pipe together, then call [`ServiceConn::recv_service`]
-/// only once bytes (or a buffered frame) are actually available.
-/// [`ServiceConn::drain`] makes that split sound for the duplex
-/// implementation: flushing the spool at every message boundary means a
-/// parked connection never has pending outbound work, so read-readiness
-/// alone is the complete wake condition.
-pub trait ServiceConn: FrameIo {
-    /// The codec version the handshake negotiated.
-    fn negotiated_version(&self) -> u16;
-
-    /// The socket's descriptor, for an external readiness wait.
-    fn raw_fd(&self) -> RawFd;
 
     /// Whether a fully parsed message is already buffered — in which
-    /// case the caller must *not* park on socket readiness first (the
-    /// kernel may have nothing left to report).
-    fn has_buffered(&self) -> bool;
-
-    /// Sends one service message (spooling implementations may queue;
-    /// see [`ServiceConn::drain`]).
-    ///
-    /// # Errors
-    ///
-    /// Version-gating, encoding, and transport errors.
-    fn send_service(&mut self, msg: &ServiceMsg) -> Result<(), CommError>;
-
-    /// Receives one service message; `Ok(None)` is a clean close.
-    /// `idle` bounds the wait for a message to *start*
-    /// ([`CommError::WouldBlock`] on elapse, retryable); the
-    /// connection's own in-flight deadline bounds the rest.
-    ///
-    /// # Errors
-    ///
-    /// Decode, deadline, and transport errors.
-    fn recv_service(&mut self, idle: Option<Duration>) -> Result<Option<ServiceMsg>, CommError>;
-
-    /// Receives one service message, treating a clean close as
-    /// [`CommError::ChannelClosed`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServiceConn::recv_service`], plus `ChannelClosed`.
-    fn recv_service_required(&mut self) -> Result<ServiceMsg, CommError>;
-
-    /// Replaces the per-read/write (in-flight) deadline — used to widen
-    /// deadlines for the duration of a protocol run.
-    ///
-    /// # Errors
-    ///
-    /// Socket-option failures (blocking implementation only).
-    fn set_run_deadline(&mut self, timeout: Option<Duration>) -> Result<(), CommError>;
-
-    /// Flushes any queued outbound bytes to the kernel — a no-op for
-    /// blocking connections. Called at message/run boundaries so wire
-    /// counters are deterministic and parked connections have no
-    /// pending writes.
-    ///
-    /// # Errors
-    ///
-    /// A typed timeout if the peer stops draining, or transport errors.
-    fn drain(&mut self) -> Result<(), CommError>;
-
-    /// `(bytes_out, bytes_in)`: kernel-accepted bytes only, never
-    /// queued ones.
-    fn wire_counts(&self) -> (u64, u64);
-}
-
-impl ServiceConn for FramedConn<TcpStream> {
-    fn negotiated_version(&self) -> u16 {
-        self.version()
-    }
-
-    fn raw_fd(&self) -> RawFd {
-        self.stream().as_raw_fd()
-    }
-
-    fn has_buffered(&self) -> bool {
-        false
-    }
-
-    fn send_service(&mut self, msg: &ServiceMsg) -> Result<(), CommError> {
-        self.send_msg(msg)
-    }
-
-    fn recv_service(&mut self, idle: Option<Duration>) -> Result<Option<ServiceMsg>, CommError> {
-        let frame_timeout = self.stream().read_timeout().ok().flatten();
-        self.recv_msg_patient(idle, frame_timeout)
-    }
-
-    fn recv_service_required(&mut self) -> Result<ServiceMsg, CommError> {
-        self.recv_msg_required()
-    }
-
-    fn set_run_deadline(&mut self, timeout: Option<Duration>) -> Result<(), CommError> {
-        self.set_timeouts(timeout)
-    }
-
-    fn drain(&mut self) -> Result<(), CommError> {
-        Ok(())
-    }
-
-    fn wire_counts(&self) -> (u64, u64) {
-        (self.bytes_out(), self.bytes_in())
-    }
-}
-
-impl ServiceConn for DuplexConn {
-    fn negotiated_version(&self) -> u16 {
-        self.version
-    }
-
-    fn raw_fd(&self) -> RawFd {
-        self.stream.as_raw_fd()
-    }
-
-    fn has_buffered(&self) -> bool {
+    /// case a serving loop must *not* park on socket readiness first
+    /// (the kernel may have nothing left to report).
+    pub(crate) fn has_buffered(&self) -> bool {
         self.core.has_ready()
-    }
-
-    fn send_service(&mut self, msg: &ServiceMsg) -> Result<(), CommError> {
-        self.send_msg(msg)
-    }
-
-    fn recv_service(&mut self, idle: Option<Duration>) -> Result<Option<ServiceMsg>, CommError> {
-        self.recv_msg_patient(idle)
-    }
-
-    fn recv_service_required(&mut self) -> Result<ServiceMsg, CommError> {
-        self.recv_msg_required()
-    }
-
-    fn set_run_deadline(&mut self, timeout: Option<Duration>) -> Result<(), CommError> {
-        self.set_io_timeout(timeout);
-        Ok(())
-    }
-
-    fn drain(&mut self) -> Result<(), CommError> {
-        DuplexConn::drain(self)
-    }
-
-    fn wire_counts(&self) -> (u64, u64) {
-        (self.core.bytes_out, self.core.bytes_in)
     }
 }
 
@@ -894,7 +709,7 @@ impl FrameIo for DuplexConn {
         let frame = self
             .recv_frame_patient(self.io_timeout)?
             .ok_or(CommError::ChannelClosed)?;
-        frame_to_event(frame, self.version)
+        frame_to_event(frame)
     }
 }
 

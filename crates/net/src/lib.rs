@@ -19,10 +19,10 @@
 //!    progresses *both* whenever the kernel is ready, so a simultaneous
 //!    protocol round whose payloads exceed the socket buffers drains
 //!    incrementally instead of deadlocking (the write-stall the blocking
-//!    codec can only convert into a timeout). Frames stay byte-identical
-//!    to the blocking path; it is the default transport everywhere, with
-//!    blocking sockets kept as the reference implementation
-//!    ([`IoMode`]).
+//!    codec can only convert into a timeout). It is the one transport
+//!    of the daemon, party hosts and initiators; its frames are
+//!    byte-identical to those of the blocking [`FramedConn`] codec,
+//!    which performs the handshake and serves as the client codec.
 //! 3. **[`party`]** — remote two-party execution: a [`PartyHost`]
 //!    process plays one side of the pair and an initiator
 //!    ([`run_with_party`]) plays the other, with every protocol message
@@ -44,8 +44,6 @@
 //!    [`EstimateRequest`](mpest_core::EstimateRequest)s from many
 //!    concurrent clients with real-socket byte accounting alongside the
 //!    logical [`BatchAccounting`](mpest_comm::BatchAccounting) ledger.
-//!    A thread-per-connection blocking server remains as the reference
-//!    path.
 //!
 //! ```no_run
 //! use mpest_core::EstimateRequest;
@@ -80,8 +78,8 @@ mod server_reactor;
 pub use client::{
     QueryOutcome, ServeClient, UpdateOutcome, CLIENT_IO_TIMEOUT, DEFAULT_REPLY_TIMEOUT,
 };
-pub use codec::{FramedConn, MAX_PAYLOAD_BYTES, MIN_VERSION, VERSION};
-pub use duplex::{DuplexConn, IoMode, ServiceConn};
+pub use codec::{FramedConn, MAX_PAYLOAD_BYTES, VERSION};
+pub use duplex::DuplexConn;
 pub use fingerprint::fingerprint;
 pub use msg::{
     MetricsMsg, PartyInfoMsg, QueryMsg, ReportsMsg, RunResultMsg, RunSpecMsg, ServiceMsg, StatsMsg,
@@ -93,8 +91,7 @@ pub use msg::{
 // need not depend on `mpest-obs` directly.
 pub use mpest_obs::{Registry, Snapshot, TraceFormat, Tracer};
 pub use party::{
-    party_info, run_over_conn, run_view_over_conn, run_with_party, run_with_party_io,
-    run_with_party_view, run_with_party_view_io, run_with_party_view_with, run_with_party_with,
+    party_info, run_with_party, run_with_party_view, run_with_party_view_with, run_with_party_with,
     update_party, update_split_party, PartyHost, PARTY_RUN_TIMEOUT_MAX,
 };
 pub use server::{

@@ -78,12 +78,12 @@ pub struct QueryMsg {
     pub fp_b: u64,
     /// `(seed, request)` pairs; request `i` runs under `Seed(seeds[i])`.
     pub queries: Vec<(u64, EstimateRequest)>,
-    /// Pin the query to this epoch of the session (v3+). `None` accepts
+    /// Pin the query to this epoch of the session. `None` accepts
     /// whatever epoch the fingerprints currently name; `Some(e)` fails
     /// typed (a stale-epoch reply) unless the served session is exactly
     /// at epoch `e`.
     pub at_epoch: Option<u64>,
-    /// Frame id for pipelined serving (v5+). `0` means unpipelined:
+    /// Frame id for pipelined serving. `0` means unpipelined:
     /// the classic strict request/reply alternation. A nonzero id lets
     /// a client keep several queries in flight on one connection; the
     /// daemon echoes the id in the matching [`ReportsMsg`] (or a
@@ -92,7 +92,7 @@ pub struct QueryMsg {
 }
 
 /// Client → daemon / party host: apply an update batch to the live
-/// session the fingerprints name (v3+).
+/// session the fingerprints name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateMsg {
     /// Fingerprint of Alice's matrix *before* the update.
@@ -193,12 +193,10 @@ pub struct ReportsMsg {
     /// Real bytes the server has written on this connection so far
     /// (through the previous message; this reply is still in flight).
     pub wire_out: u64,
-    /// The epoch of the session that answered (v3+; 0 from v2 peers,
-    /// which only serve frozen epoch-0 sessions).
+    /// The epoch of the session that answered.
     pub epoch: u64,
-    /// Echo of the query's frame id (v5+; 0 for unpipelined queries and
-    /// from pre-v5 peers). Pipelining clients match replies to requests
-    /// by this id.
+    /// Echo of the query's frame id (0 for unpipelined queries).
+    /// Pipelining clients match replies to requests by this id.
     pub id: u64,
 }
 
@@ -219,8 +217,8 @@ pub struct StatsMsg {
     /// stay under the daemon's `max_sessions` cap.
     pub evictions: u64,
     /// Cache entries retired because an update superseded their epoch
-    /// (v3+; distinct from capacity evictions — the content lives on
-    /// under its new `fp@epoch` key).
+    /// (distinct from capacity evictions — the content lives on under
+    /// its new `fp@epoch` key).
     pub superseded: u64,
 }
 
@@ -229,7 +227,7 @@ pub struct StatsMsg {
 /// registry holds a few dozen names.
 pub const MAX_WIRE_METRICS: u64 = 1 << 16;
 
-/// A full observability-registry snapshot on the wire (v6+): every
+/// A full observability-registry snapshot on the wire: every
 /// counter, gauge, and sparse-bucket histogram the daemon records,
 /// beyond the fixed [`StatsMsg`] fields. See [`mpest_obs::Snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -323,7 +321,7 @@ fn decode_snapshot(r: &mut BitReader<'_>) -> Result<Snapshot, CommError> {
 }
 
 /// One party's public description of the half it holds, exchanged at
-/// the start of a storage-split connection (v4+). This is everything a
+/// the start of a storage-split connection. This is everything a
 /// peer may learn about the matrix outside billed protocol messages:
 /// shape, representation, a content fingerprint, and the half's
 /// per-side epoch — never entries.
@@ -402,11 +400,11 @@ pub enum ServiceMsg {
     RunSpec(RunSpecMsg),
     /// Both directions after a remote run: output / error exchange.
     RunResult(RunResultMsg),
-    /// Client → daemon / party host: apply a live update batch (v3+;
-    /// travels as a [`KIND_UPDATE`](crate::codec::KIND_UPDATE) frame).
+    /// Client → daemon / party host: apply a live update batch (travels
+    /// as a [`KIND_UPDATE`](crate::codec::KIND_UPDATE) frame).
     Update(UpdateMsg),
     /// Daemon → client: the update applied; the session now lives at
-    /// these fingerprints and epoch (v3+).
+    /// these fingerprints and epoch.
     UpdateAck {
         /// Alice-side fingerprint after the update.
         fp_a: u64,
@@ -416,13 +414,13 @@ pub enum ServiceMsg {
         epoch: u64,
     },
     /// Both directions on a storage-split connection: announce the half
-    /// this process holds before negotiating a run (v4+). Each side
+    /// this process holds before negotiating a run. Each side
     /// cross-checks the peer's announcement against its stored
     /// [`PeerInfo`](mpest_core::PeerInfo) — dimensions and binariness
     /// must match; a nonzero stored fingerprint pins exact content.
     PartyHello(PartyInfoMsg),
     /// Daemon → client: one *pipelined* query failed, without poisoning
-    /// the connection or the other in-flight queries (v5+). Unpipelined
+    /// the connection or the other in-flight queries. Unpipelined
     /// failures keep using [`ServiceMsg::Error`] /
     /// [`ServiceMsg::StaleEpoch`], whose meaning is unchanged.
     QueryFailed {
@@ -431,15 +429,13 @@ pub enum ServiceMsg {
         /// What went wrong.
         error: String,
     },
-    /// Client → daemon: report the full observability registry (v6+).
-    /// The fixed-field [`ServiceMsg::Stats`] stays the compatible path
-    /// for older peers.
+    /// Client → daemon: report the full observability registry.
     Metrics,
-    /// Daemon → client: the registry snapshot (v6+).
+    /// Daemon → client: the registry snapshot.
     MetricsReport(MetricsMsg),
     /// Daemon → client: the addressed `fp@epoch` no longer names the
     /// live session — it was updated (or the pinned epoch never
-    /// existed). Carries where the session is *now* (v3+).
+    /// existed). Carries where the session is *now*.
     StaleEpoch {
         /// Current Alice-side fingerprint.
         fp_a: u64,
@@ -476,35 +472,14 @@ impl ServiceMsg {
         }
     }
 
-    /// The lowest codec version that can carry this message as
-    /// constructed. Sending it over an older negotiated connection is a
-    /// typed error (never a silently dropped field).
-    #[must_use]
-    pub fn min_version(&self) -> u16 {
-        match self {
-            Self::Metrics | Self::MetricsReport(_) => 6,
-            Self::QueryFailed { .. } => 5,
-            Self::Query(q) if q.id != 0 => 5,
-            Self::Reports(rep) if rep.id != 0 => 5,
-            Self::PartyHello(_) => 4,
-            Self::Update(_) | Self::UpdateAck { .. } | Self::StaleEpoch { .. } => 3,
-            Self::Query(q) if q.at_epoch.is_some() => 3,
-            _ => 2,
-        }
-    }
-
-    fn encode_body(&self, w: &mut BitWriter, version: u16) {
+    fn encode_body(&self, w: &mut BitWriter) {
         match self {
             Self::Query(q) => {
                 w.write_varint(q.fp_a);
                 w.write_varint(q.fp_b);
                 q.queries.encode(w);
-                if version >= 3 {
-                    q.at_epoch.encode(w);
-                }
-                if version >= 5 {
-                    w.write_varint(q.id);
-                }
+                q.at_epoch.encode(w);
+                w.write_varint(q.id);
             }
             Self::NeedMatrices | Self::Stats | Self::Shutdown | Self::Ok | Self::Metrics => {}
             Self::MetricsReport(m) => encode_snapshot(&m.snapshot, w),
@@ -518,12 +493,8 @@ impl ServiceMsg {
                 w.write_bit(rep.cache_hit);
                 w.write_varint(rep.wire_in);
                 w.write_varint(rep.wire_out);
-                if version >= 3 {
-                    w.write_varint(rep.epoch);
-                }
-                if version >= 5 {
-                    w.write_varint(rep.id);
-                }
+                w.write_varint(rep.epoch);
+                w.write_varint(rep.id);
             }
             Self::StatsReport(s) => {
                 s.accounting.encode(w);
@@ -532,9 +503,7 @@ impl ServiceMsg {
                 w.write_varint(s.wire_in);
                 w.write_varint(s.wire_out);
                 w.write_varint(s.evictions);
-                if version >= 3 {
-                    w.write_varint(s.superseded);
-                }
+                w.write_varint(s.superseded);
             }
             Self::Error(msg) => msg.clone().encode(w),
             Self::RunSpec(spec) => {
@@ -570,22 +539,14 @@ impl ServiceMsg {
         }
     }
 
-    pub(crate) fn decode_body(
-        name: &str,
-        r: &mut BitReader<'_>,
-        version: u16,
-    ) -> Result<Self, CommError> {
+    pub(crate) fn decode_body(name: &str, r: &mut BitReader<'_>) -> Result<Self, CommError> {
         Ok(match name {
             "query" => Self::Query(QueryMsg {
                 fp_a: r.read_varint()?,
                 fp_b: r.read_varint()?,
                 queries: Vec::decode(r)?,
-                at_epoch: if version >= 3 {
-                    Option::decode(r)?
-                } else {
-                    None
-                },
-                id: if version >= 5 { r.read_varint()? } else { 0 },
+                at_epoch: Option::decode(r)?,
+                id: r.read_varint()?,
             }),
             "need-matrices" => Self::NeedMatrices,
             "matrices" => Self::Matrices {
@@ -598,8 +559,8 @@ impl ServiceMsg {
                 cache_hit: r.read_bit()?,
                 wire_in: r.read_varint()?,
                 wire_out: r.read_varint()?,
-                epoch: if version >= 3 { r.read_varint()? } else { 0 },
-                id: if version >= 5 { r.read_varint()? } else { 0 },
+                epoch: r.read_varint()?,
+                id: r.read_varint()?,
             }),
             "stats" => Self::Stats,
             "stats-report" => Self::StatsReport(StatsMsg {
@@ -609,7 +570,7 @@ impl ServiceMsg {
                 wire_in: r.read_varint()?,
                 wire_out: r.read_varint()?,
                 evictions: r.read_varint()?,
-                superseded: if version >= 3 { r.read_varint()? } else { 0 },
+                superseded: r.read_varint()?,
             }),
             "shutdown" => Self::Shutdown,
             "ok" => Self::Ok,
@@ -667,15 +628,13 @@ impl ServiceMsg {
 
 impl<S: Read + Write> FramedConn<S> {
     /// Sends one service message as a service frame (update messages
-    /// travel as [`KIND_UPDATE`](crate::codec::KIND_UPDATE) frames), in
-    /// the encoding of the connection's negotiated version.
+    /// travel as [`KIND_UPDATE`](crate::codec::KIND_UPDATE) frames).
     ///
     /// # Errors
     ///
-    /// Propagates codec/transport errors; fails typed when the message
-    /// needs a newer codec than the connection negotiated.
+    /// Propagates codec/transport errors.
     pub fn send_msg(&mut self, msg: &ServiceMsg) -> Result<(), CommError> {
-        let (kind, name, bits, payload) = encode_service_frame(msg, self.version())?;
+        let (kind, name, bits, payload) = encode_service_frame(msg);
         self.send_raw(kind, 0, name, bits, &payload)
     }
 
@@ -686,11 +645,10 @@ impl<S: Read + Write> FramedConn<S> {
     /// Returns a typed error on malformed frames or if a protocol frame
     /// arrives where a service message was expected.
     pub fn recv_msg(&mut self) -> Result<Option<ServiceMsg>, CommError> {
-        let version = self.version();
         let Some(frame) = self.recv_raw()? else {
             return Ok(None);
         };
-        decode_service_frame(&frame, version).map(Some)
+        decode_service_frame(&frame).map(Some)
     }
 
     /// Receives a service message, treating EOF as a closed channel.
@@ -705,42 +663,26 @@ impl<S: Read + Write> FramedConn<S> {
 }
 
 /// Encodes one service message into the pieces of a frame — `(kind,
-/// label, payload bit count, payload)` — in the encoding of `version`,
-/// enforcing the message's [`ServiceMsg::min_version`]. Shared by the
-/// blocking [`FramedConn::send_msg`] and the spooling
+/// label, payload bit count, payload)`. Shared by the blocking
+/// [`FramedConn::send_msg`] and the spooling
 /// [`DuplexConn::send_msg`](crate::DuplexConn::send_msg), so both paths
 /// emit byte-identical frames by construction.
-pub(crate) fn encode_service_frame(
-    msg: &ServiceMsg,
-    version: u16,
-) -> Result<(u8, &'static str, u64, Vec<u8>), CommError> {
-    if msg.min_version() > version {
-        return Err(CommError::frame(
-            msg.name(),
-            format!(
-                "message requires codec v{} but the connection negotiated v{version}",
-                msg.min_version()
-            ),
-        ));
-    }
+pub(crate) fn encode_service_frame(msg: &ServiceMsg) -> (u8, &'static str, u64, Vec<u8>) {
     let mut w = BitWriter::new();
-    msg.encode_body(&mut w, version);
+    msg.encode_body(&mut w);
     let (payload, bits) = w.finish_vec();
     let kind = if matches!(msg, ServiceMsg::Update(_)) {
         crate::codec::KIND_UPDATE
     } else {
         crate::codec::KIND_SERVICE
     };
-    Ok((kind, msg.name(), bits, payload))
+    (kind, msg.name(), bits, payload)
 }
 
 /// Checks the frame kind and decodes the service-message body. Update
-/// frames carry their own kind so a v2-era peer rejects them at the
-/// frame layer instead of misparsing the body.
-pub(crate) fn decode_service_frame(
-    frame: &RawFrame,
-    version: u16,
-) -> Result<ServiceMsg, CommError> {
+/// frames carry their own kind
+/// ([`KIND_UPDATE`](crate::codec::KIND_UPDATE)).
+pub(crate) fn decode_service_frame(frame: &RawFrame) -> Result<ServiceMsg, CommError> {
     let service = frame.kind == crate::codec::KIND_SERVICE;
     let update = frame.kind == crate::codec::KIND_UPDATE && frame.label == "update";
     if !(service || update) {
@@ -750,7 +692,7 @@ pub(crate) fn decode_service_frame(
         ));
     }
     let mut r = BitReader::new(&frame.payload);
-    ServiceMsg::decode_body(&frame.label, &mut r, version)
+    ServiceMsg::decode_body(&frame.label, &mut r)
 }
 
 impl FramedConn<TcpStream> {
@@ -768,11 +710,10 @@ impl FramedConn<TcpStream> {
         idle: Option<Duration>,
         frame_timeout: Option<Duration>,
     ) -> Result<Option<ServiceMsg>, CommError> {
-        let version = self.version();
         let Some(frame) = self.recv_raw_patient(idle, frame_timeout)? else {
             return Ok(None);
         };
-        decode_service_frame(&frame, version).map(Some)
+        decode_service_frame(&frame).map(Some)
     }
 }
 
@@ -835,6 +776,21 @@ mod tests {
                 at_epoch: Some(4),
                 id: 17,
             }),
+            // Unpipelined (id 0) queries, with and without an epoch pin.
+            ServiceMsg::Query(QueryMsg {
+                fp_a: 1,
+                fp_b: 2,
+                queries: Vec::new(),
+                at_epoch: Some(7),
+                id: 0,
+            }),
+            ServiceMsg::Query(QueryMsg {
+                fp_a: 5,
+                fp_b: 6,
+                queries: vec![(1, EstimateRequest::ExactL1)],
+                at_epoch: None,
+                id: 0,
+            }),
             ServiceMsg::NeedMatrices,
             ServiceMsg::Matrices {
                 a: WCsr(m.clone()),
@@ -848,6 +804,15 @@ mod tests {
                 wire_out: 50,
                 epoch: 6,
                 id: 17,
+            }),
+            ServiceMsg::Reports(ReportsMsg {
+                reports: Vec::new(),
+                accounting: BatchAccounting::new(),
+                cache_hit: false,
+                wire_in: 1,
+                wire_out: 2,
+                epoch: 99,
+                id: 0,
             }),
             ServiceMsg::QueryFailed {
                 id: 17,
@@ -927,105 +892,6 @@ mod tests {
         registry.snapshot()
     }
 
-    /// `party-hello` is v4-only: a pre-v4 connection refuses to send it,
-    /// naming both versions in the error.
-    #[test]
-    fn party_hello_is_refused_pre_v4() {
-        let hello = ServiceMsg::PartyHello(PartyInfoMsg {
-            side: Party::Alice,
-            rows: 4,
-            cols: 4,
-            binary: false,
-            fp: 1,
-            epoch: 0,
-        });
-        for version in [2u16, 3] {
-            let mut conn = FramedConn::new(Buf(Cursor::new(Vec::new()))).with_version(version);
-            let err = conn.send_msg(&hello).unwrap_err();
-            let s = err.to_string();
-            assert!(
-                s.contains("v4") && s.contains(&format!("v{version}")),
-                "{s}"
-            );
-        }
-    }
-
-    /// Frame ids are v5-only: a pre-v5 connection refuses to send a
-    /// pipelined query, a pipelined reports echo, or a `query-failed`
-    /// reply — while id-0 (unpipelined) traffic still flows and decodes
-    /// to id 0 on both sides.
-    #[test]
-    fn frame_ids_are_refused_pre_v5() {
-        let pipelined = [
-            ServiceMsg::Query(QueryMsg {
-                fp_a: 1,
-                fp_b: 2,
-                queries: Vec::new(),
-                at_epoch: None,
-                id: 3,
-            }),
-            ServiceMsg::Reports(ReportsMsg {
-                reports: Vec::new(),
-                accounting: BatchAccounting::new(),
-                cache_hit: false,
-                wire_in: 0,
-                wire_out: 0,
-                epoch: 0,
-                id: 3,
-            }),
-            ServiceMsg::QueryFailed {
-                id: 3,
-                error: "nope".into(),
-            },
-        ];
-        for msg in &pipelined {
-            let mut conn = FramedConn::new(Buf(Cursor::new(Vec::new()))).with_version(4);
-            let err = conn.send_msg(msg).unwrap_err();
-            let s = err.to_string();
-            assert!(s.contains("v5") && s.contains("v4"), "{s}");
-        }
-
-        // Unpipelined (id 0) messages are still v4-sendable, and the id
-        // simply is not carried: a v4 hop drops nothing.
-        let mut conn = FramedConn::new(Buf(Cursor::new(Vec::new()))).with_version(4);
-        conn.send_msg(&ServiceMsg::Query(QueryMsg {
-            fp_a: 1,
-            fp_b: 2,
-            queries: Vec::new(),
-            at_epoch: Some(7),
-            id: 0,
-        }))
-        .unwrap();
-        let ServiceMsg::Query(q) = conn.recv_msg().unwrap().unwrap() else {
-            panic!("expected query");
-        };
-        assert_eq!((q.id, q.at_epoch), (0, Some(7)));
-    }
-
-    /// The metrics message pair is v6-only: a pre-v6 connection refuses
-    /// to send either side of it, naming both versions in the error —
-    /// older peers keep using the fixed-field `stats` exchange.
-    #[test]
-    fn metrics_messages_are_refused_pre_v6() {
-        let msgs = [
-            ServiceMsg::Metrics,
-            ServiceMsg::MetricsReport(MetricsMsg {
-                snapshot: sample_snapshot(),
-            }),
-        ];
-        for msg in &msgs {
-            for version in [2u16, 3, 4, 5] {
-                let mut conn = FramedConn::new(Buf(Cursor::new(Vec::new()))).with_version(version);
-                let err = conn.send_msg(msg).unwrap_err();
-                let s = err.to_string();
-                assert!(
-                    s.contains("v6") && s.contains(&format!("v{version}")),
-                    "{s}"
-                );
-            }
-        }
-    }
-
     /// Hostile metrics payloads fail typed instead of allocating: a
     /// bucket index outside the fixed layout is a decode error.
     #[test]
@@ -1062,71 +928,6 @@ mod tests {
         assert_eq!(frame.label, "update");
     }
 
-    /// A v2 connection must see byte-identical v2 traffic: the v3-only
-    /// trailing fields are neither written nor read, and v3-only
-    /// messages fail typed at send time instead of emitting frames a v2
-    /// peer cannot parse.
-    #[test]
-    fn v2_connections_stay_v2_compatible() {
-        let query_v2 = ServiceMsg::Query(QueryMsg {
-            fp_a: 5,
-            fp_b: 6,
-            queries: vec![(1, EstimateRequest::ExactL1)],
-            at_epoch: None,
-            id: 0,
-        });
-        let mut conn = FramedConn::new(Buf(Cursor::new(Vec::new()))).with_version(2);
-        conn.send_msg(&query_v2).unwrap();
-        let back = conn.recv_msg().unwrap().unwrap();
-        assert_eq!(back, query_v2);
-
-        // Version-gated trailing fields drop to their defaults across a
-        // v2 hop.
-        let mut conn = FramedConn::new(Buf(Cursor::new(Vec::new()))).with_version(2);
-        conn.send_msg(&ServiceMsg::Reports(ReportsMsg {
-            reports: Vec::new(),
-            accounting: BatchAccounting::new(),
-            cache_hit: false,
-            wire_in: 1,
-            wire_out: 2,
-            epoch: 99,
-            id: 0,
-        }))
-        .unwrap();
-        let ServiceMsg::Reports(rep) = conn.recv_msg().unwrap().unwrap() else {
-            panic!("expected reports");
-        };
-        assert_eq!(rep.epoch, 0, "epoch is not carried over v2");
-
-        // v3-only messages are refused on a v2 connection, naming both
-        // versions.
-        let mut conn = FramedConn::new(Buf(Cursor::new(Vec::new()))).with_version(2);
-        for msg in [
-            ServiceMsg::Update(UpdateMsg {
-                fp_a: 0,
-                fp_b: 0,
-                expect_epoch: 0,
-                batch: UpdateBatch::new(),
-            }),
-            ServiceMsg::Query(QueryMsg {
-                fp_a: 0,
-                fp_b: 0,
-                queries: Vec::new(),
-                at_epoch: Some(1),
-                id: 0,
-            }),
-            ServiceMsg::StaleEpoch {
-                fp_a: 0,
-                fp_b: 0,
-                epoch: 0,
-            },
-        ] {
-            let err = conn.send_msg(&msg).unwrap_err();
-            let s = err.to_string();
-            assert!(s.contains("v3") && s.contains("v2"), "{s}");
-        }
-    }
-
     #[test]
     fn hostile_update_batches_fail_typed() {
         // An op count past the wire cap must not allocate.
@@ -1137,7 +938,7 @@ mod tests {
         w.write_varint(MAX_WIRE_UPDATE_OPS + 1);
         let (bytes, _) = w.finish_vec();
         let mut r = BitReader::new(&bytes);
-        let err = ServiceMsg::decode_body("update", &mut r, crate::codec::VERSION).unwrap_err();
+        let err = ServiceMsg::decode_body("update", &mut r).unwrap_err();
         assert!(err.to_string().contains("wire cap"), "{err}");
 
         // Unknown op tags are rejected.
@@ -1150,7 +951,7 @@ mod tests {
         w.write_bit(false);
         let (bytes, _) = w.finish_vec();
         let mut r = BitReader::new(&bytes);
-        let err = ServiceMsg::decode_body("update", &mut r, crate::codec::VERSION).unwrap_err();
+        let err = ServiceMsg::decode_body("update", &mut r).unwrap_err();
         assert!(err.to_string().contains("op tag"), "{err}");
     }
 

@@ -28,7 +28,7 @@
 //! epoch divergence fails typed before a single protocol frame moves.
 
 use crate::codec::FramedConn;
-use crate::duplex::{DuplexConn, IoMode, ServiceConn};
+use crate::duplex::DuplexConn;
 use crate::fingerprint::fingerprint;
 use crate::msg::{PartyInfoMsg, RunResultMsg, RunSpecMsg, ServiceMsg, UpdateMsg};
 use crate::reactor::{wait_ready, Readiness, StopSignal, POLLIN};
@@ -78,12 +78,8 @@ pub const PARTY_RUN_TIMEOUT_MAX: Duration = Duration::from_secs(600);
 /// runs the complementary side (the shared core of the initiator and the
 /// host). Returns the complete report, bit-identical to an in-process
 /// run under the same session pair and seed.
-///
-/// # Errors
-///
-/// Protocol/validation errors from either side, or transport errors.
-pub fn run_over_conn<C: ServiceConn>(
-    conn: &mut C,
+fn run_over_conn(
+    conn: &mut DuplexConn,
     session: &Session,
     my_side: Party,
     request: &EstimateRequest,
@@ -96,12 +92,8 @@ pub fn run_over_conn<C: ServiceConn>(
 /// The storage-split counterpart of [`run_over_conn`]: runs `request`
 /// through a [`PartyView`] (this process holds only its own half) over
 /// an established connection, with the same closing result exchange.
-///
-/// # Errors
-///
-/// Protocol/validation errors from either side, or transport errors.
-pub fn run_view_over_conn<C: ServiceConn>(
-    conn: &mut C,
+fn run_view_over_conn(
+    conn: &mut DuplexConn,
     view: &PartyView,
     request: &EstimateRequest,
     seed: Seed,
@@ -111,8 +103,8 @@ pub fn run_view_over_conn<C: ServiceConn>(
 }
 
 /// The closing [`RunResultMsg`] exchange both run paths share.
-fn finish_run<C: ServiceConn>(
-    conn: &mut C,
+fn finish_run(
+    conn: &mut DuplexConn,
     local: Result<EstimateReport, CommError>,
 ) -> Result<EstimateReport, CommError> {
     // A local failure is the primary diagnosis (the peer usually echoes
@@ -130,13 +122,13 @@ fn finish_run<C: ServiceConn>(
             local,
             Err(CommError::Frame { .. } | CommError::ChannelClosed)
         ) {
-            let _ = conn.send_service(&result_msg);
-            let _ = conn.recv_service(Some(PARTY_IO_TIMEOUT));
+            let _ = conn.send_msg(&result_msg);
+            let _ = conn.recv_msg_patient(Some(PARTY_IO_TIMEOUT));
         }
         return local;
     }
-    conn.send_service(&result_msg)?;
-    let peer = match conn.recv_service_required()? {
+    conn.send_msg(&result_msg)?;
+    let peer = match conn.recv_msg_required()? {
         ServiceMsg::RunResult(res) => res,
         other => {
             return Err(CommError::frame(
@@ -162,8 +154,8 @@ fn finish_run<C: ServiceConn>(
 ///
 /// # Errors
 ///
-/// Connection/handshake failures, side mismatches, and any error
-/// [`run_over_conn`] surfaces.
+/// Connection/handshake failures, side mismatches, and any protocol,
+/// validation or transport error of the run on either side.
 pub fn run_with_party(
     addr: &str,
     session: &Session,
@@ -200,76 +192,22 @@ pub fn run_with_party_with(
     seed: Seed,
     io_timeout: Option<Duration>,
 ) -> Result<(EstimateReport, u64, u64), CommError> {
-    run_with_party_io(
-        addr,
-        session,
-        my_side,
-        request,
-        seed,
-        io_timeout,
-        IoMode::default(),
-    )
-}
-
-/// [`run_with_party_with`] with an explicit [`IoMode`]. `Blocking`
-/// selects the reference implementation — still subject to the
-/// full-duplex write stall on simultaneous rounds whose payloads exceed
-/// the kernel socket buffers (surfaced as a typed write-timeout), which
-/// is exactly what the regression tests pin down.
-///
-/// # Errors
-///
-/// Same as [`run_with_party`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_party_io(
-    addr: &str,
-    session: &Session,
-    my_side: Party,
-    request: &EstimateRequest,
-    seed: Seed,
-    io_timeout: Option<Duration>,
-    io_mode: IoMode,
-) -> Result<(EstimateReport, u64, u64), CommError> {
-    let conn = FramedConn::connect(addr, io_timeout)?;
-    match io_mode {
-        IoMode::Blocking => initiate_run(conn, session, my_side, request, seed, io_timeout),
-        IoMode::Duplex => initiate_run(
-            DuplexConn::from_framed(conn, io_timeout)?,
-            session,
-            my_side,
-            request,
-            seed,
-            io_timeout,
-        ),
-    }
-}
-
-/// The initiator's conversation after the transport is chosen:
-/// negotiate the run-spec, execute, drain, report wire costs.
-fn initiate_run<C: ServiceConn>(
-    mut conn: C,
-    session: &Session,
-    my_side: Party,
-    request: &EstimateRequest,
-    seed: Seed,
-    io_timeout: Option<Duration>,
-) -> Result<(EstimateReport, u64, u64), CommError> {
+    let mut conn = DuplexConn::from_framed(FramedConn::connect(addr, io_timeout)?, io_timeout)?;
     negotiate_spec(&mut conn, my_side, request, seed, io_timeout)?;
     let report = run_over_conn(&mut conn, session, my_side, request, seed)?;
     conn.drain()?;
-    let (out, inn) = conn.wire_counts();
-    Ok((report, out, inn))
+    Ok((report, conn.bytes_out(), conn.bytes_in()))
 }
 
 /// Sends the run-spec and waits for the host's ok/error verdict.
-fn negotiate_spec<C: ServiceConn>(
-    conn: &mut C,
+fn negotiate_spec(
+    conn: &mut DuplexConn,
     my_side: Party,
     request: &EstimateRequest,
     seed: Seed,
     io_timeout: Option<Duration>,
 ) -> Result<(), CommError> {
-    conn.send_service(&ServiceMsg::RunSpec(RunSpecMsg {
+    conn.send_msg(&ServiceMsg::RunSpec(RunSpecMsg {
         initiator_side: my_side,
         seed: seed.0,
         io_timeout_secs: io_timeout.map_or(0, |t| {
@@ -277,7 +215,7 @@ fn negotiate_spec<C: ServiceConn>(
         }),
         request: request.clone(),
     }))?;
-    match conn.recv_service_required()? {
+    match conn.recv_msg_required()? {
         ServiceMsg::Ok => Ok(()),
         ServiceMsg::Error(msg) => Err(CommError::protocol(format!(
             "party rejected the run: {msg}"
@@ -363,8 +301,8 @@ fn check_hello(view: &PartyView, hello: &PartyInfoMsg) -> Result<(), CommError> 
 ///
 /// # Errors
 ///
-/// Handshake divergence (shape, binariness, side, or epoch), a pre-v4
-/// host, and any error [`run_view_over_conn`] surfaces.
+/// Handshake divergence (shape, binariness, side, or epoch), and any
+/// protocol, validation or transport error of the run on either side.
 pub fn run_with_party_view(
     addr: &str,
     view: &PartyView,
@@ -393,59 +331,9 @@ pub fn run_with_party_view_with(
     io_timeout: Option<Duration>,
     pin_peer_fp: Option<u64>,
 ) -> Result<(EstimateReport, u64, u64), CommError> {
-    run_with_party_view_io(
-        addr,
-        view,
-        request,
-        seed,
-        io_timeout,
-        pin_peer_fp,
-        IoMode::default(),
-    )
-}
-
-/// [`run_with_party_view_with`] with an explicit [`IoMode`] (see
-/// [`run_with_party_io`] for what `Blocking` means).
-///
-/// # Errors
-///
-/// Same as [`run_with_party_view_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_party_view_io(
-    addr: &str,
-    view: &PartyView,
-    request: &EstimateRequest,
-    seed: Seed,
-    io_timeout: Option<Duration>,
-    pin_peer_fp: Option<u64>,
-    io_mode: IoMode,
-) -> Result<(EstimateReport, u64, u64), CommError> {
-    let conn = FramedConn::connect(addr, io_timeout)?;
-    match io_mode {
-        IoMode::Blocking => initiate_view_run(conn, view, request, seed, io_timeout, pin_peer_fp),
-        IoMode::Duplex => initiate_view_run(
-            DuplexConn::from_framed(conn, io_timeout)?,
-            view,
-            request,
-            seed,
-            io_timeout,
-            pin_peer_fp,
-        ),
-    }
-}
-
-/// The storage-split initiator's conversation: hello cross-check, pin
-/// check, run-spec, protocol, drain.
-fn initiate_view_run<C: ServiceConn>(
-    mut conn: C,
-    view: &PartyView,
-    request: &EstimateRequest,
-    seed: Seed,
-    io_timeout: Option<Duration>,
-    pin_peer_fp: Option<u64>,
-) -> Result<(EstimateReport, u64, u64), CommError> {
-    conn.send_service(&ServiceMsg::PartyHello(party_info(view)))?;
-    match conn.recv_service_required()? {
+    let mut conn = DuplexConn::from_framed(FramedConn::connect(addr, io_timeout)?, io_timeout)?;
+    conn.send_msg(&ServiceMsg::PartyHello(party_info(view)))?;
+    match conn.recv_msg_required()? {
         ServiceMsg::PartyHello(hello) => {
             check_hello(view, &hello)?;
             if let Some(pin) = pin_peer_fp {
@@ -473,8 +361,7 @@ fn initiate_view_run<C: ServiceConn>(
     negotiate_spec(&mut conn, view.role(), request, seed, io_timeout)?;
     let report = run_view_over_conn(&mut conn, view, request, seed)?;
     conn.drain()?;
-    let (out, inn) = conn.wire_counts();
-    Ok((report, out, inn))
+    Ok((report, conn.bytes_out(), conn.bytes_in()))
 }
 
 /// How a party host stores its session: the legacy shared (immutable)
@@ -512,30 +399,12 @@ impl PartyHost {
     /// threads — one accept loop, one thread per connection. The shared
     /// session is immutable: this host answers `update` messages with a
     /// typed error (use [`PartyHost::spawn_updatable`] for live data).
-    /// Connections run duplex I/O (see [`PartyHost::spawn_io`]).
     ///
     /// # Errors
     ///
     /// I/O errors from binding.
     pub fn spawn(addr: &str, session: Arc<Session>, side: Party) -> std::io::Result<Self> {
-        Self::spawn_inner(addr, PartySession::Shared(session), side, IoMode::default())
-    }
-
-    /// [`PartyHost::spawn`] with an explicit [`IoMode`] for accepted
-    /// connections — `Blocking` keeps the reference implementation
-    /// (subject to the documented write stall on big simultaneous
-    /// rounds), which the regression tests run against.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from binding.
-    pub fn spawn_io(
-        addr: &str,
-        session: Arc<Session>,
-        side: Party,
-        io_mode: IoMode,
-    ) -> std::io::Result<Self> {
-        Self::spawn_inner(addr, PartySession::Shared(session), side, io_mode)
+        Self::spawn_inner(addr, PartySession::Shared(session), side)
     }
 
     /// Binds `addr` owning `session` outright, so remote peers may push
@@ -547,26 +416,10 @@ impl PartyHost {
     ///
     /// I/O errors from binding.
     pub fn spawn_updatable(addr: &str, session: Session, side: Party) -> std::io::Result<Self> {
-        Self::spawn_updatable_io(addr, session, side, IoMode::default())
-    }
-
-    /// [`PartyHost::spawn_updatable`] with an explicit [`IoMode`] (see
-    /// [`PartyHost::spawn_io`]).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from binding.
-    pub fn spawn_updatable_io(
-        addr: &str,
-        session: Session,
-        side: Party,
-        io_mode: IoMode,
-    ) -> std::io::Result<Self> {
         Self::spawn_inner(
             addr,
             PartySession::Owned(Arc::new(RwLock::new(session))),
             side,
-            io_mode,
         )
     }
 
@@ -582,31 +435,11 @@ impl PartyHost {
     ///
     /// I/O errors from binding.
     pub fn spawn_split(addr: &str, view: PartyView) -> std::io::Result<Self> {
-        Self::spawn_split_io(addr, view, IoMode::default())
-    }
-
-    /// [`PartyHost::spawn_split`] with an explicit [`IoMode`] (see
-    /// [`PartyHost::spawn_io`]).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from binding.
-    pub fn spawn_split_io(addr: &str, view: PartyView, io_mode: IoMode) -> std::io::Result<Self> {
         let side = view.role();
-        Self::spawn_inner(
-            addr,
-            PartySession::Split(Arc::new(RwLock::new(view))),
-            side,
-            io_mode,
-        )
+        Self::spawn_inner(addr, PartySession::Split(Arc::new(RwLock::new(view))), side)
     }
 
-    fn spawn_inner(
-        addr: &str,
-        session: PartySession,
-        side: Party,
-        io_mode: IoMode,
-    ) -> std::io::Result<Self> {
+    fn spawn_inner(addr: &str, session: PartySession, side: Party) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = StopSignal::new()?;
@@ -620,7 +453,7 @@ impl PartyHost {
                 let stop = stop_conn.clone();
                 let metrics = metrics.clone();
                 std::thread::spawn(move || {
-                    let _ = serve_party_conn(stream, &session, side, &stop, io_mode, &metrics);
+                    let _ = serve_party_conn(stream, &session, side, &stop, &metrics);
                 });
             });
         });
@@ -678,8 +511,8 @@ impl Drop for PartyHost {
     }
 }
 
-/// Shared accept loop: hand every connection to `handle` until `stop`.
-pub(crate) fn accept_loop(listener: &TcpListener, stop: &StopSignal, handle: impl Fn(TcpStream)) {
+/// Accept loop: hand every connection to `handle` until `stop`.
+fn accept_loop(listener: &TcpListener, stop: &StopSignal, handle: impl Fn(TcpStream)) {
     for stream in listener.incoming() {
         if stop.is_set() {
             break;
@@ -698,7 +531,6 @@ fn serve_party_conn(
     session: &PartySession,
     side: Party,
     stop: &StopSignal,
-    io_mode: IoMode,
     metrics: &PartyMetrics,
 ) -> Result<(), CommError> {
     // Bound the handshake too: a peer that connects and never speaks
@@ -707,25 +539,16 @@ fn serve_party_conn(
         .set_read_timeout(Some(PARTY_IO_TIMEOUT))
         .and_then(|()| stream.set_write_timeout(Some(PARTY_IO_TIMEOUT)))
         .map_err(|e| CommError::frame("accept", format!("socket options failed: {e}")))?;
-    let conn = FramedConn::accept(stream)?;
-    match io_mode {
-        IoMode::Blocking => serve_party_loop(conn, session, side, stop, metrics),
-        IoMode::Duplex => serve_party_loop(
-            DuplexConn::from_framed(conn, Some(PARTY_IO_TIMEOUT))?,
-            session,
-            side,
-            stop,
-            metrics,
-        ),
-    }
+    let conn = DuplexConn::from_framed(FramedConn::accept(stream)?, Some(PARTY_IO_TIMEOUT))?;
+    serve_party_loop(conn, session, side, stop, metrics)
 }
 
-/// The per-connection serve loop, generic over the transport. Parks in
-/// a zero-wakeup readiness wait (socket + stop pipe) between messages —
-/// an initiator may hold the connection idle indefinitely — then reads
-/// one message under the in-flight deadline.
-fn serve_party_loop<C: ServiceConn>(
-    mut conn: C,
+/// The per-connection serve loop. Parks in a zero-wakeup readiness wait
+/// (socket + stop pipe) between messages — an initiator may hold the
+/// connection idle indefinitely — then reads one message under the
+/// in-flight deadline.
+fn serve_party_loop(
+    mut conn: DuplexConn,
     session: &PartySession,
     side: Party,
     stop: &StopSignal,
@@ -748,7 +571,7 @@ fn serve_party_loop<C: ServiceConn>(
                 Readiness::Ready | Readiness::TimedOut => {}
             }
         }
-        let msg = match conn.recv_service(Some(PARTY_IO_TIMEOUT)) {
+        let msg = match conn.recv_msg_patient(Some(PARTY_IO_TIMEOUT)) {
             Ok(Some(msg)) => msg,
             Ok(None) => return Ok(()), // initiator hung up cleanly
             Err(CommError::WouldBlock) => continue,
@@ -758,12 +581,12 @@ fn serve_party_loop<C: ServiceConn>(
             ServiceMsg::RunSpec(spec) => spec,
             ServiceMsg::Update(update) => {
                 metrics.updates.inc();
-                conn.send_service(&handle_party_update(session, &update))?;
+                conn.send_msg(&handle_party_update(session, &update))?;
                 continue;
             }
             ServiceMsg::PartyHello(hello) => {
                 let PartySession::Split(lock) = session else {
-                    conn.send_service(&ServiceMsg::Error(
+                    conn.send_msg(&ServiceMsg::Error(
                         "this host holds the full session pair; party-hello \
                          is for storage-split hosts (spawn_split)"
                             .to_string(),
@@ -774,14 +597,14 @@ fn serve_party_loop<C: ServiceConn>(
                 match check_hello(&view, &hello) {
                     Ok(()) => {
                         greeted = true;
-                        conn.send_service(&ServiceMsg::PartyHello(party_info(&view)))?;
+                        conn.send_msg(&ServiceMsg::PartyHello(party_info(&view)))?;
                     }
-                    Err(e) => conn.send_service(&ServiceMsg::Error(e.to_string()))?,
+                    Err(e) => conn.send_msg(&ServiceMsg::Error(e.to_string()))?,
                 }
                 continue;
             }
             other => {
-                conn.send_service(&ServiceMsg::Error(format!(
+                conn.send_msg(&ServiceMsg::Error(format!(
                     "expected run-spec, got {}",
                     other.name()
                 )))?;
@@ -789,7 +612,7 @@ fn serve_party_loop<C: ServiceConn>(
             }
         };
         if !greeted {
-            conn.send_service(&ServiceMsg::Error(
+            conn.send_msg(&ServiceMsg::Error(
                 "this host is storage-split: send party-hello before the \
                  first run-spec so both halves are cross-checked"
                     .to_string(),
@@ -797,12 +620,12 @@ fn serve_party_loop<C: ServiceConn>(
             continue;
         }
         if spec.initiator_side == side {
-            conn.send_service(&ServiceMsg::Error(format!(
+            conn.send_msg(&ServiceMsg::Error(format!(
                 "initiator claims side {side}, but this host already plays it"
             )))?;
             continue;
         }
-        conn.send_service(&ServiceMsg::Ok)?;
+        conn.send_msg(&ServiceMsg::Ok)?;
         // Match the initiator's requested deadline for this run, so a
         // side that legitimately computes longer than the host's default
         // between rounds is not dropped mid-run — but clamp it: the
@@ -811,7 +634,7 @@ fn serve_party_loop<C: ServiceConn>(
             0 => PARTY_RUN_TIMEOUT_MAX,
             secs => Duration::from_secs(secs).min(PARTY_RUN_TIMEOUT_MAX),
         };
-        conn.set_run_deadline(Some(run_timeout))?;
+        conn.set_io_timeout(Some(run_timeout));
         // Errors are shipped to the initiator inside run_over_conn's
         // result exchange; a transport error tears the connection down.
         let outcome = match session {
@@ -830,7 +653,7 @@ fn serve_party_loop<C: ServiceConn>(
                 run_view_over_conn(&mut conn, &view, &spec.request, Seed(spec.seed))
             }
         };
-        conn.set_run_deadline(Some(PARTY_IO_TIMEOUT))?;
+        conn.set_io_timeout(Some(PARTY_IO_TIMEOUT));
         match outcome {
             Ok(report) => {
                 metrics.runs.inc();

@@ -1,14 +1,10 @@
 //! The `mpest serve` daemon: estimation-as-a-service over TCP.
 //!
-//! Two serving cores share one [`ServerState`]: the default
-//! readiness-driven reactor (the private `server_reactor` module)
-//! multiplexes
-//! every connection on one thread with a worker pool for query compute,
-//! while [`ServeConfig::io_mode`] can select this module's blocking
-//! thread-per-connection path as the reference implementation. The
-//! state is a fingerprint-keyed cache of [`Engine`]-wrapped sessions, a
-//! global logical [`BatchAccounting`] ledger, and real-socket byte
-//! counters.
+//! A readiness-driven reactor (the private `server_reactor` module)
+//! multiplexes every connection on one thread, with a worker pool for
+//! query compute, over one shared [`ServerState`]: a fingerprint-keyed
+//! cache of [`Engine`]-wrapped sessions, a global logical
+//! [`BatchAccounting`] ledger, and real-socket byte counters.
 //! Clients speak the service messages of [`crate::msg`]: a `query`
 //! carries matrix fingerprints plus `(seed, request)` pairs; on a cache
 //! miss the daemon answers `need-matrices` and the client uploads the
@@ -23,7 +19,7 @@
 //!
 //! # Live updates and epochs
 //!
-//! A cached pair is not frozen: an `update` message (codec v3) pushes an
+//! A cached pair is not frozen: an `update` message pushes an
 //! [`UpdateBatch`](mpest_core::UpdateBatch) into the cached session,
 //! bumping its epoch and *re-keying* the cache entry in place under the
 //! matrices' new fingerprints — the session keeps its incrementally
@@ -43,18 +39,14 @@
 //! taking a slot lock (slot arcs are cloned out first), while an update
 //! holding a slot's write lock may take the cache mutex to re-key.
 
-use crate::codec::FramedConn;
-use crate::duplex::IoMode;
 use crate::fingerprint::fingerprint;
 use crate::msg::{QueryMsg, ReportsMsg, ServiceMsg, StatsMsg, UpdateMsg, WCsr};
-use crate::party::accept_loop;
-use crate::reactor::{wait_ready, Readiness, StopSignal, POLLIN};
+use crate::reactor::StopSignal;
 use mpest_comm::{BatchAccounting, CommError, Seed};
 use mpest_core::{Engine, Session};
 use mpest_obs::{Counter, Gauge, Histogram, Registry, Snapshot, Tracer};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -93,11 +85,6 @@ pub struct ServeConfig {
     /// bounded by default: at the cap, the least-recently-used pair is
     /// evicted (and counted in stats).
     pub max_sessions: usize,
-    /// Which serving core runs connections: the readiness-driven
-    /// reactor (default — one thread multiplexes every connection,
-    /// pipelined v5 queries, zero idle wakeups) or the blocking
-    /// thread-per-connection reference implementation.
-    pub io_mode: IoMode,
     /// Reactor backpressure: once a connection's outbound spool holds
     /// more than this many unwritten bytes, the reactor stops reading
     /// new requests from that peer until the kernel drains the spool.
@@ -118,7 +105,6 @@ impl Default for ServeConfig {
             idle_timeout: None,
             io_timeout: Some(SERVE_IO_TIMEOUT),
             max_sessions: DEFAULT_MAX_SESSIONS,
-            io_mode: IoMode::default(),
             spool_budget: DEFAULT_SPOOL_BUDGET,
             obs: true,
         }
@@ -553,177 +539,13 @@ impl Drop for Server {
 }
 
 /// Serves an already-bound listener until shutdown (the CLI's
-/// foreground path; [`Server::spawn`] wraps it in a thread).
-///
-/// Dispatches on [`ServeConfig::io_mode`]: the readiness-driven
-/// reactor multiplexes every connection on this thread (the default),
-/// the blocking reference path accepts into a thread per connection.
+/// foreground path; [`Server::spawn`] wraps it in a thread): the
+/// readiness-driven reactor multiplexes every connection on this thread.
 pub fn serve_on(listener: &TcpListener, state: &Arc<ServerState>) {
-    match state.config.io_mode {
-        IoMode::Duplex => crate::server_reactor::serve_reactor(listener, state),
-        IoMode::Blocking => accept_loop(listener, &state.stop, |stream| {
-            let state = Arc::clone(state);
-            std::thread::spawn(move || {
-                let _ = serve_conn(stream, &state);
-            });
-        }),
-    }
+    crate::server_reactor::serve_reactor(listener, state);
     // Seal the trace (a Chrome-format file needs its closing bracket);
     // a no-op without an attached tracer.
     state.tracer.finish();
-}
-
-/// Serves one client connection until EOF or shutdown.
-fn serve_conn(stream: TcpStream, state: &Arc<ServerState>) -> Result<(), CommError> {
-    let ServeConfig {
-        idle_timeout,
-        io_timeout,
-        ..
-    } = state.config;
-    // Bound the handshake too: a peer that connects and never speaks
-    // must not pin this thread forever.
-    stream
-        .set_read_timeout(io_timeout)
-        .and_then(|()| stream.set_write_timeout(io_timeout))
-        .map_err(|e| CommError::frame("accept", format!("socket options failed: {e}")))?;
-    let mut conn = FramedConn::accept(stream)?;
-    let mut folded = (0u64, 0u64);
-    let result = serve_msgs(&mut conn, state, idle_timeout, io_timeout, &mut folded);
-    // Every exit path — clean EOF, shutdown, or a mid-exchange error
-    // (client vanished, reply write failed) — folds the tail delta, so
-    // aborted connections still account their bytes.
-    fold_wire(state, &conn, &mut folded);
-    result
-}
-
-/// Folds this connection's unaccounted byte delta into the daemon's
-/// global counters.
-fn fold_wire(state: &ServerState, conn: &FramedConn<TcpStream>, folded: &mut (u64, u64)) {
-    state.metrics.wire_in.add(conn.bytes_in() - folded.0);
-    state.metrics.wire_out.add(conn.bytes_out() - folded.1);
-    *folded = (conn.bytes_in(), conn.bytes_out());
-}
-
-/// The per-connection service-message loop.
-fn serve_msgs(
-    conn: &mut FramedConn<TcpStream>,
-    state: &Arc<ServerState>,
-    idle_timeout: Option<Duration>,
-    io_timeout: Option<Duration>,
-    folded: &mut (u64, u64),
-) -> Result<(), CommError> {
-    loop {
-        // Patient between messages (a client parked for minutes between
-        // queries is healthy), strict once a frame starts arriving. The
-        // idle wait parks on readiness — socket plus the daemon's stop
-        // pipe — so it costs zero wakeups and still observes shutdown
-        // immediately.
-        if state.stop.is_set() {
-            return Ok(());
-        }
-        let fd = conn.stream().as_raw_fd();
-        match wait_ready(fd, POLLIN, Some(&state.stop), idle_timeout)
-            .map_err(|e| CommError::frame("idle-wait", format!("poll failed: {e}")))?
-        {
-            Readiness::Stopped => return Ok(()),
-            Readiness::TimedOut => return Ok(()), // idle budget exhausted: close quietly
-            Readiness::Ready => {}
-        }
-        let msg = match conn.recv_msg_patient(io_timeout, io_timeout) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => return Ok(()),
-            // Readiness without a complete frame start; park again.
-            Err(CommError::WouldBlock) => continue,
-            Err(e) => return Err(e),
-        };
-        match msg {
-            ServiceMsg::Query(query) => {
-                let reply = handle_query(conn, state, query)?;
-                conn.send_msg(&reply)?;
-            }
-            ServiceMsg::Update(update) if conn.version() >= 3 => {
-                let reply = handle_update(state, &update);
-                conn.send_msg(&reply)?;
-            }
-            ServiceMsg::Update(_) => {
-                // A well-behaved v2 peer cannot build this message; a
-                // hostile one sending the raw frame anyway gets a plain
-                // error (the typed replies themselves need v3).
-                conn.send_msg(&ServiceMsg::Error(format!(
-                    "update requires codec v3 but this connection negotiated v{}",
-                    conn.version()
-                )))?;
-            }
-            ServiceMsg::Stats => {
-                conn.send_msg(&ServiceMsg::StatsReport(state.stats()))?;
-            }
-            ServiceMsg::Metrics if conn.version() >= 6 => {
-                conn.send_msg(&ServiceMsg::MetricsReport(crate::msg::MetricsMsg {
-                    snapshot: state.metrics_snapshot(),
-                }))?;
-            }
-            ServiceMsg::Shutdown => {
-                state.stop.trigger();
-                conn.send_msg(&ServiceMsg::Ok)?;
-                // Wake the accept loop so the flag is observed.
-                let _ = TcpStream::connect(conn.stream().local_addr().map_err(|e| {
-                    CommError::frame("shutdown", format!("local_addr failed: {e}"))
-                })?);
-                return Ok(());
-            }
-            other => {
-                conn.send_msg(&ServiceMsg::Error(format!(
-                    "unexpected message {}",
-                    other.name()
-                )))?;
-            }
-        }
-        // Keep stats fresh per message on long-lived connections.
-        fold_wire(state, conn, folded);
-    }
-}
-
-/// Resolves the session (asking the client to upload on a cache miss)
-/// and answers the query via the shared [`answer_query`] helper.
-fn handle_query(
-    conn: &mut FramedConn<TcpStream>,
-    state: &Arc<ServerState>,
-    query: QueryMsg,
-) -> Result<ServiceMsg, CommError> {
-    let key = (query.fp_a, query.fp_b);
-    let (slot, cache_hit) = match state.lookup(key) {
-        Lookup::Found(slot) => (slot, true),
-        Lookup::Superseded(current, epoch) => {
-            return Ok(pipeline_wrap(
-                query.id,
-                ServiceMsg::StaleEpoch {
-                    fp_a: current.0,
-                    fp_b: current.1,
-                    epoch,
-                },
-            ))
-        }
-        Lookup::Missing => {
-            conn.send_msg(&ServiceMsg::NeedMatrices)?;
-            match conn.recv_msg_required()? {
-                ServiceMsg::Matrices { a, b } => match state.insert(key, a, b) {
-                    Ok(slot) => (slot, false),
-                    Err(e) => return Ok(pipeline_wrap(query.id, ServiceMsg::Error(e.to_string()))),
-                },
-                other => {
-                    return Ok(pipeline_wrap(
-                        query.id,
-                        ServiceMsg::Error(format!(
-                            "expected matrices after need-matrices, got {}",
-                            other.name()
-                        )),
-                    ))
-                }
-            }
-        }
-    };
-    let wire = (conn.bytes_in(), conn.bytes_out());
-    Ok(answer_query(state, &slot, query, cache_hit, wire))
 }
 
 /// Converts a failure reply to a *pipelined* query (`id != 0`) into the
@@ -745,10 +567,9 @@ pub(crate) fn pipeline_wrap(id: u64, reply: ServiceMsg) -> ServiceMsg {
     }
 }
 
-/// Runs a resolved query against its cache slot: epoch checks, the
-/// engine run under the slot's read lock, and the stats fold. Shared by
-/// the blocking path (connection thread) and the reactor path (worker
-/// pool); `wire` is the connection's byte counters at query time.
+/// Runs a resolved query against its cache slot on a reactor worker:
+/// epoch checks, the engine run under the slot's read lock, and the
+/// stats fold; `wire` is the connection's byte counters at query time.
 /// Failures of pipelined queries come back as `query-failed`
 /// ([`pipeline_wrap`]).
 pub(crate) fn answer_query(
@@ -828,7 +649,7 @@ pub(crate) fn answer_query(
 
 /// Applies an update batch to a cached session: epoch-checked under the
 /// slot's write lock, then the cache entry is re-keyed to the mutated
-/// pair's new fingerprints. Shared by the blocking and reactor paths.
+/// pair's new fingerprints.
 pub(crate) fn handle_update(state: &ServerState, update: &UpdateMsg) -> ServiceMsg {
     let key = (update.fp_a, update.fp_b);
     let slot = match state.lookup(key) {
@@ -886,6 +707,7 @@ pub(crate) fn handle_update(state: &ServerState, update: &UpdateMsg) -> ServiceM
 mod tests {
     use super::*;
     use crate::client::ServeClient;
+    use crate::codec::FramedConn;
     use mpest_core::{EstimateRequest, UpdateBatch, UpdateSide};
     use mpest_matrix::{CsrMatrix, Workloads};
 
@@ -1053,8 +875,8 @@ mod tests {
             }))
             .unwrap();
             // The daemon replies need-matrices; vanish instead of
-            // uploading — the connection thread's early error return
-            // must still fold this conversation's bytes.
+            // uploading — closing the connection must still fold this
+            // conversation's bytes.
         }
         let mut stats = server.state().stats();
         for _ in 0..100 {
@@ -1067,6 +889,63 @@ mod tests {
         assert!(stats.wire_in > 0, "aborted connection's inbound bytes");
         assert!(stats.wire_out > 0, "aborted connection's outbound bytes");
         server.shutdown();
+    }
+
+    /// A raw client offering only codec v5 (`5..=5`): the host answers
+    /// with its own preamble, refuses the handshake, and closes the
+    /// connection without sending a single reply frame.
+    fn assert_v5_handshake_is_refused(addr: SocketAddr) {
+        use crate::codec::{local_preamble, MAGIC};
+        use std::io::{Read, Write};
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut preamble = MAGIC.to_vec();
+        preamble.extend_from_slice(&5u16.to_be_bytes());
+        preamble.extend_from_slice(&5u16.to_be_bytes());
+        stream.write_all(&preamble).unwrap();
+        let mut got = Vec::new();
+        stream.read_to_end(&mut got).unwrap();
+        assert_eq!(
+            got,
+            local_preamble(),
+            "preamble, then close: no reply frame"
+        );
+    }
+
+    #[test]
+    fn a_refused_handshake_leaves_the_daemon_serving() {
+        let a = Workloads::bernoulli_bits(8, 10, 0.3, 1).to_csr();
+        let b = Workloads::bernoulli_bits(10, 8, 0.3, 2).to_csr();
+        let server = Server::spawn("127.0.0.1:0", 1).unwrap();
+        assert_v5_handshake_is_refused(server.addr());
+        let mut client = ServeClient::connect(&server.addr().to_string()).unwrap();
+        let request = EstimateRequest::ExactL1;
+        let outcome = client.query(&a, &b, &[(9, request.clone())]).unwrap();
+        let local = Session::new(a, b)
+            .estimate_seeded(&request, Seed(9))
+            .unwrap();
+        assert_eq!(outcome.reports.reports, vec![local]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_refused_handshake_leaves_a_split_party_host_serving() {
+        use crate::party::{run_with_party_view, PartyHost};
+        use mpest_comm::Role;
+        let session = Session::new(
+            Workloads::bernoulli_bits(12, 16, 0.3, 1),
+            Workloads::bernoulli_bits(16, 12, 0.3, 2),
+        );
+        let host = PartyHost::spawn_split("127.0.0.1:0", session.party_view(Role::Bob)).unwrap();
+        assert_v5_handshake_is_refused(host.addr());
+        let request = EstimateRequest::ExactL1;
+        let alice = session.party_view(Role::Alice);
+        let (report, _, _) =
+            run_with_party_view(&host.addr().to_string(), &alice, &request, Seed(9)).unwrap();
+        assert_eq!(report, session.estimate_seeded(&request, Seed(9)).unwrap());
+        host.shutdown();
     }
 
     #[test]

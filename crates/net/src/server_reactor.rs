@@ -12,7 +12,7 @@
 //! so a reply for a vanished connection is dropped instead of crossing
 //! wires into the slot's next occupant.
 //!
-//! Pipelining: a codec-v5 client may tag queries with nonzero frame ids
+//! Pipelining: a client may tag queries with nonzero frame ids
 //! and keep several in flight; replies echo the id and may arrive in
 //! any order. One pipelined query failing answers `query-failed` for
 //! that id without poisoning the connection. Backpressure is the
@@ -28,7 +28,7 @@
 //! every exit path — including a connection dropped mid-spool, where
 //! only the bytes the kernel actually accepted count.
 
-use crate::codec::{io_to_comm, local_preamble, negotiate_version};
+use crate::codec::{check_version, io_to_comm, local_preamble};
 use crate::duplex::{DuplexCore, ReadStep};
 use crate::msg::{decode_service_frame, encode_service_frame, QueryMsg, ServiceMsg, UpdateMsg};
 use crate::reactor::{poll_fds, PollFd, POLLIN, POLLOUT};
@@ -145,7 +145,7 @@ struct Handshake {
 
 enum Stage {
     Handshake(Handshake),
-    Active { version: u16 },
+    Active,
 }
 
 /// One multiplexed connection.
@@ -214,7 +214,7 @@ impl Conn {
                     events |= POLLIN;
                 }
             }
-            Stage::Active { .. } => {
+            Stage::Active => {
                 // Backpressure: a peer whose replies we can't drain
                 // does not get to queue more work.
                 if !self.eof && !self.closing && self.core.queued_out_bytes() <= config.spool_budget
@@ -235,13 +235,12 @@ impl Conn {
         // spooled output must keep moving.
         let in_flight = match &self.stage {
             Stage::Handshake(_) => true,
-            Stage::Active { .. } => self.core.mid_frame() || self.core.has_out(),
+            Stage::Active => self.core.mid_frame() || self.core.has_out(),
         };
         if in_flight {
             return config.io_timeout.map(|t| self.progress_at + t);
         }
-        // Queries computing on the worker pool are not idleness (the
-        // blocking path likewise computes without a read deadline).
+        // Queries computing on the worker pool are not idleness.
         if self.inflight > 0 {
             return None;
         }
@@ -257,8 +256,8 @@ impl Conn {
 
 /// Spools one service reply on a connection (same frame bytes as the
 /// blocking [`FramedConn::send_msg`](crate::codec::FramedConn)).
-fn queue_reply(conn: &mut Conn, version: u16, msg: &ServiceMsg) -> Result<(), CommError> {
-    let (kind, name, bits, payload) = encode_service_frame(msg, version)?;
+fn queue_reply(conn: &mut Conn, msg: &ServiceMsg) -> Result<(), CommError> {
+    let (kind, name, bits, payload) = encode_service_frame(msg);
     conn.core.queue_frame(kind, 0, name, bits, &payload)
 }
 
@@ -554,14 +553,11 @@ impl Reactor<'_> {
             }
             conn.inflight = conn.inflight.saturating_sub(1);
             conn.active_at = now;
-            let Stage::Active { version } = conn.stage else {
-                continue;
-            };
             let began = timed.then(Instant::now);
-            if queue_reply(conn, version, &c.reply).is_err() {
-                // The reply can't be encoded for this peer's codec
-                // version — unreachable for well-formed traffic (ids
-                // only exist on v5 connections); drop the connection.
+            if queue_reply(conn, &c.reply).is_err() {
+                // The reply exceeds the frame caps (a payload over
+                // MAX_PAYLOAD_BYTES): it cannot be framed, so drop the
+                // connection.
                 if let Some(conn) = self.conns[c.token].take() {
                     self.close(c.token, conn);
                 }
@@ -626,8 +622,7 @@ impl Reactor<'_> {
         };
         match self.drive(&mut conn, token, now) {
             Ok(true) => self.conns[token] = Some(conn),
-            // Errors are per-connection, never the daemon's problem —
-            // exactly like a blocking handler thread exiting.
+            // Errors are per-connection, never the daemon's problem.
             Ok(false) | Err(_) => self.close(token, conn),
         }
     }
@@ -635,7 +630,7 @@ impl Reactor<'_> {
     fn drive(&mut self, conn: &mut Conn, token: usize, now: Instant) -> Result<bool, CommError> {
         match conn.stage {
             Stage::Handshake(_) => drive_handshake(conn, now),
-            Stage::Active { version } => self.drive_active(conn, token, version, now),
+            Stage::Active => self.drive_active(conn, token, now),
         }
     }
 
@@ -643,7 +638,6 @@ impl Reactor<'_> {
         &mut self,
         conn: &mut Conn,
         token: usize,
-        version: u16,
         now: Instant,
     ) -> Result<bool, CommError> {
         // Outbound first: draining the spool lifts backpressure and
@@ -669,13 +663,13 @@ impl Reactor<'_> {
         let timed = self.state.config.obs || self.state.tracer.enabled();
         while let Some(frame) = conn.core.take_frame() {
             let began = timed.then(Instant::now);
-            let msg = decode_service_frame(&frame, version)?;
+            let msg = decode_service_frame(&frame)?;
             let decode_us = began.map_or(0, |b| b.elapsed().as_micros() as u64);
             if began.is_some() {
                 self.state.metrics.decode_us.record(decode_us);
             }
             conn.active_at = now;
-            self.dispatch(conn, token, version, msg, began.map(|b| (b, decode_us)))?;
+            self.dispatch(conn, token, msg, began.map(|b| (b, decode_us)))?;
         }
         // Replies spooled by dispatch go out now, not next readiness.
         let began = self.state.config.obs.then(Instant::now);
@@ -712,7 +706,6 @@ impl Reactor<'_> {
         &mut self,
         conn: &mut Conn,
         token: usize,
-        version: u16,
         msg: ServiceMsg,
         timed: Option<(Instant, u64)>,
     ) -> Result<(), CommError> {
@@ -757,7 +750,7 @@ impl Reactor<'_> {
                                 epoch,
                             },
                         );
-                        queue_reply(conn, version, &reply)?;
+                        queue_reply(conn, &reply)?;
                     }
                     Lookup::Missing if conn.awaiting_upload.is_some() => {
                         // A second missing pair while an upload is
@@ -770,12 +763,12 @@ impl Reactor<'_> {
                                     .to_string(),
                             ),
                         );
-                        queue_reply(conn, version, &reply)?;
+                        queue_reply(conn, &reply)?;
                     }
                     Lookup::Missing => {
                         self.state.metrics.cache_miss.inc();
                         conn.awaiting_upload = Some((key, vec![query]));
-                        queue_reply(conn, version, &ServiceMsg::NeedMatrices)?;
+                        queue_reply(conn, &ServiceMsg::NeedMatrices)?;
                     }
                 }
             }
@@ -783,7 +776,6 @@ impl Reactor<'_> {
                 let Some((key, parked)) = conn.awaiting_upload.take() else {
                     queue_reply(
                         conn,
-                        version,
                         &ServiceMsg::Error("unexpected message matrices".to_string()),
                     )?;
                     return Ok(());
@@ -817,7 +809,7 @@ impl Reactor<'_> {
                     timing,
                 });
             }
-            ServiceMsg::Update(update) if version >= 3 => {
+            ServiceMsg::Update(update) => {
                 conn.inflight += 1;
                 self.state.metrics.inflight.inc();
                 self.state.metrics.worker_queue.inc();
@@ -827,33 +819,23 @@ impl Reactor<'_> {
                     update,
                 });
             }
-            ServiceMsg::Update(_) => {
-                queue_reply(
-                    conn,
-                    version,
-                    &ServiceMsg::Error(format!(
-                        "update requires codec v3 but this connection negotiated v{version}"
-                    )),
-                )?;
-            }
             ServiceMsg::Stats => {
-                queue_reply(conn, version, &ServiceMsg::StatsReport(self.state.stats()))?;
+                queue_reply(conn, &ServiceMsg::StatsReport(self.state.stats()))?;
             }
-            ServiceMsg::Metrics if version >= 6 => {
+            ServiceMsg::Metrics => {
                 let reply = ServiceMsg::MetricsReport(crate::msg::MetricsMsg {
                     snapshot: self.state.metrics_snapshot(),
                 });
-                queue_reply(conn, version, &reply)?;
+                queue_reply(conn, &reply)?;
             }
             ServiceMsg::Shutdown => {
                 self.state.stop.trigger();
-                queue_reply(conn, version, &ServiceMsg::Ok)?;
+                queue_reply(conn, &ServiceMsg::Ok)?;
                 conn.closing = true;
             }
             other => {
                 queue_reply(
                     conn,
-                    version,
                     &ServiceMsg::Error(format!("unexpected message {}", other.name())),
                 )?;
             }
@@ -988,8 +970,8 @@ fn drive_handshake(conn: &mut Conn, now: Instant) -> Result<bool, CommError> {
         }
     }
     if h.sent == PREAMBLE_LEN && h.got == PREAMBLE_LEN {
-        let version = negotiate_version(&h.peer)?;
-        conn.stage = Stage::Active { version };
+        check_version(&h.peer)?;
+        conn.stage = Stage::Active;
         conn.active_at = now;
     }
     Ok(true)

@@ -5,8 +5,8 @@
 //! standard symmetric `p`-stable variate for any `p ∈ (0, 2]`. Indyk's
 //! estimator divides the sample median of `|⟨s_i, x⟩|` by the median of
 //! `|Stable(p)|`; the latter has no closed form for general `p`, so we
-//! calibrate it once per `p` by seeded Monte-Carlo (documented substitution
-//! in DESIGN.md). For `p = 1` (Cauchy) the median is exactly 1.
+//! calibrate it once per `p` by seeded Monte-Carlo. For `p = 1` (Cauchy)
+//! the median is exactly 1.
 
 use parking_lot_free::OnceCache;
 

@@ -41,11 +41,11 @@ const USAGE: &str = "usage:
             [--executor fused|threaded]
   mpest verify [--protocol NAME] [--trials N] [--quick] [--seed S]
   mpest serve --listen ADDR [--workers N] [--io-timeout SECS] [--idle-timeout SECS]
-            [--max-sessions N] [--io-mode duplex|blocking] [--no-obs]
+            [--max-sessions N] [--no-obs]
             [--trace-out FILE [--trace-format jsonl|chrome]]
   mpest stats --connect ADDR [--format text|json]
   mpest shutdown --connect ADDR
-  mpest party --listen ADDR [--side alice|bob] [--io-mode duplex|blocking]
+  mpest party --listen ADDR [--side alice|bob]
             (--a FILE --b FILE [--updatable]
              | --matrix FILE --peer-rows N --peer-cols N [--peer-binary])
   mpest query PROTOCOL (--connect ADDR | --party ADDR)
@@ -55,9 +55,9 @@ const USAGE: &str = "usage:
             [options] [--side alice|bob] [--format text|json]
             [--at-epoch N (--connect only)]
             [--io-timeout SECS] [--reply-timeout SECS (--connect only)]
-            [--io-mode duplex|blocking (--party only)]
   mpest update (--connect ADDR | --party ADDR) --a FILE --b FILE --ops FILE.jsonl
             [--out-a FILE] [--out-b FILE] [--io-timeout SECS]
+            [--reply-timeout SECS (--connect only)]
 
 verify runs the Monte-Carlo statistical-guarantee sweep: every protocol
 (or just --protocol NAME) over generated dense/sparse/power-law/skewed/
@@ -79,21 +79,14 @@ transitions) alongside the core counters; --no-obs drops the extended
 tier to zero cost. --trace-out streams one span per query (decode/
 lookup/run/encode phase timings, cache tag) as JSON lines, or as a
 chrome://tracing array with --trace-format chrome. stats --connect
-pulls the live registry from a running daemon (codec v6); --format
-json emits the raw snapshot.
+pulls the live registry from a running daemon; --format json emits the
+raw snapshot.
 query --connect talks to it: --reply-timeout (default 600, 0 = wait
 forever) bounds the wait for a reply to start, generous because the
 server may legitimately compute a heavy batch for minutes. party hosts
 one side (default bob) of a remote two-party run; query --party plays
 the other side so every protocol message crosses the socket, matching
 the initiator's --io-timeout for the run (host-clamped at 600s).
-
---io-mode picks the I/O engine: duplex (default) is the readiness-
-driven reactor — the serve daemon multiplexes every connection on one
-thread, and party runs progress both directions simultaneously so big
-simultaneous rounds can never deadlock; blocking keeps the reference
-thread-per-connection implementation (big simultaneous payloads
-surface the documented write-stall as a typed timeout).
 
 party/query --matrix is the storage-split form: each process loads ONLY
 its own half; the peer is known by shape and representation alone
@@ -180,6 +173,23 @@ impl Flags {
         Ok((positional, Flags(map)))
     }
 
+    /// Rejects any flag `subcommand` does not read (`known` lists the
+    /// ones it does, whitespace-separated), so a typo fails instead of
+    /// silently falling back to a default.
+    fn check_known(&self, subcommand: &str, known: &str) -> Result<(), String> {
+        // The smallest unknown key, so the error does not depend on
+        // hash order.
+        let unknown = self
+            .0
+            .keys()
+            .filter(|key| !known.split_whitespace().any(|k| k == key.as_str()))
+            .min();
+        match unknown {
+            Some(key) => Err(format!("unknown flag --{key} for {subcommand}")),
+            None => Ok(()),
+        }
+    }
+
     fn str(&self, key: &str) -> Option<&str> {
         self.0.get(key).map(String::as_str)
     }
@@ -208,8 +218,38 @@ impl Flags {
     }
 }
 
+/// The flags each subcommand reads, whitespace-separated, as USAGE lists
+/// them (`None` for an unknown subcommand).
+fn known_flags(subcommand: &str) -> Option<&'static str> {
+    Some(match subcommand {
+        "gen" => "kind rows cols density set-size max-val seed out",
+        "exact" => "a b",
+        "run" => "a b format seed exact executor eps p kappa phi hh-eps t slack",
+        "batch" => "a b requests workers seed executor",
+        "verify" => "protocol trials quick seed",
+        "serve" => {
+            "listen workers io-timeout idle-timeout max-sessions no-obs trace-out trace-format"
+        }
+        "stats" => "connect format",
+        "shutdown" => "connect",
+        "party" => "listen side a b updatable matrix peer-rows peer-cols peer-binary",
+        "query" => {
+            "connect party a b matrix peer-rows peer-cols peer-binary peer-fp side format \
+             at-epoch io-timeout reply-timeout seed eps p kappa phi hh-eps t slack"
+        }
+        "update" => "connect party a b ops out-a out-b io-timeout reply-timeout",
+        _ => return None,
+    })
+}
+
 fn dispatch(args: &[String]) -> Result<(), String> {
     let (pos, flags) = Flags::parse(args)?;
+    if let Some(subcommand) = pos.first() {
+        if let Some(known) = known_flags(subcommand) {
+            // Before any file is read or port bound.
+            flags.check_known(subcommand, known)?;
+        }
+    }
     match pos.first().map(String::as_str) {
         Some("gen") => cmd_gen(&flags),
         Some("exact") => cmd_exact(&flags),
@@ -1060,7 +1100,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         io_timeout: parse_timeout(flags, "io-timeout", 30)?,
         idle_timeout: parse_timeout(flags, "idle-timeout", 0)?,
         max_sessions: flags.num("max-sessions", DEFAULT_MAX_SESSIONS)?,
-        io_mode: parse_io_mode(flags)?,
         obs: flags.str("no-obs").is_none(),
         ..ServeConfig::default()
     };
@@ -1104,8 +1143,8 @@ fn cmd_shutdown(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `mpest stats`: pulls the daemon-wide statistics plus (on codec v6)
-/// the full observability-registry snapshot from a live daemon.
+/// `mpest stats`: pulls the daemon-wide statistics plus the full
+/// observability-registry snapshot from a live daemon.
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
     use mpest::net::ServeClient;
     let addr = flags.required("connect")?;
@@ -1128,14 +1167,6 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Parses `--io-mode duplex|blocking` (default: the duplex reactor).
-fn parse_io_mode(flags: &Flags) -> Result<mpest::net::IoMode, String> {
-    match flags.str("io-mode") {
-        None => Ok(mpest::net::IoMode::default()),
-        Some(raw) => mpest::net::IoMode::parse(raw).map_err(|e| format!("--io-mode: {e}")),
-    }
 }
 
 /// Parses a `--KEY SECS` timeout flag; `0` means no deadline.
@@ -1187,7 +1218,6 @@ fn cmd_party(flags: &Flags) -> Result<(), String> {
     use mpest::net::PartyHost;
     let addr = flags.str("listen").unwrap_or("127.0.0.1:7118");
     let side = parse_side(flags, Party::Bob)?;
-    let io_mode = parse_io_mode(flags)?;
     if flags.str("matrix").is_some() {
         if flags.str("a").is_some() || flags.str("b").is_some() {
             return Err(
@@ -1198,8 +1228,8 @@ fn cmd_party(flags: &Flags) -> Result<(), String> {
         }
         let view = load_party_view(flags, side)?;
         let (rows, cols) = view.own_shape();
-        let host = PartyHost::spawn_split_io(addr, view, io_mode)
-            .map_err(|e| format!("--listen {addr}: {e}"))?;
+        let host =
+            PartyHost::spawn_split(addr, view).map_err(|e| format!("--listen {addr}: {e}"))?;
         println!(
             "mpest party: playing {side} on {} holding only the {rows}x{cols} \
              {} half (storage-split; per-side updates accepted) — initiators \
@@ -1217,9 +1247,9 @@ fn cmd_party(flags: &Flags) -> Result<(), String> {
     let (a, b) = load_pair(flags)?;
     let session = Session::new(a, b);
     let host = if updatable {
-        PartyHost::spawn_updatable_io(addr, session, side, io_mode)
+        PartyHost::spawn_updatable(addr, session, side)
     } else {
-        PartyHost::spawn_io(addr, std::sync::Arc::new(session), side, io_mode)
+        PartyHost::spawn(addr, std::sync::Arc::new(session), side)
     }
     .map_err(|e| format!("--listen {addr}: {e}"))?;
     println!(
@@ -1314,7 +1344,7 @@ fn cmd_query(protocol: &str, flags: &Flags) -> Result<(), String> {
             Ok(())
         }
         (None, Some(addr)) => {
-            use mpest::net::run_with_party_io;
+            use mpest::net::run_with_party_with;
             if flags.str("at-epoch").is_some() {
                 return Err(
                     "--at-epoch pins a daemon session's epoch and requires --connect; \
@@ -1336,18 +1366,10 @@ fn cmd_query(protocol: &str, flags: &Flags) -> Result<(), String> {
             }
             let side = parse_side(flags, Party::Alice)?;
             let io_timeout = parse_timeout(flags, "io-timeout", 30)?;
-            let io_mode = parse_io_mode(flags)?;
             let session = Session::new(a, b);
-            let (report, out, inn) = run_with_party_io(
-                addr,
-                &session,
-                side,
-                &request,
-                Seed(seed),
-                io_timeout,
-                io_mode,
-            )
-            .map_err(|e| e.to_string())?;
+            let (report, out, inn) =
+                run_with_party_with(addr, &session, side, &request, Seed(seed), io_timeout)
+                    .map_err(|e| e.to_string())?;
             match format {
                 Format::Json => {
                     let extra = vec![
@@ -1397,7 +1419,7 @@ fn query_split(
     seed: u64,
     flags: &Flags,
 ) -> Result<(), String> {
-    use mpest::net::run_with_party_view_io;
+    use mpest::net::run_with_party_view_with;
     let Some(addr) = flags.str("party") else {
         return Err(
             "--matrix loads only this party's half and requires --party ADDR \
@@ -1432,9 +1454,8 @@ fn query_split(
     }
     let io_timeout = parse_timeout(flags, "io-timeout", 30)?;
     let pin = parse_peer_fp(flags)?;
-    let io_mode = parse_io_mode(flags)?;
     let (report, out, inn) =
-        run_with_party_view_io(addr, &view, request, Seed(seed), io_timeout, pin, io_mode)
+        run_with_party_view_with(addr, &view, request, Seed(seed), io_timeout, pin)
             .map_err(|e| e.to_string())?;
     match format {
         Format::Json => {
@@ -1839,6 +1860,33 @@ mod tests {
         assert!(canonical_protocol("nope")
             .unwrap_err()
             .contains("valid protocols"));
+    }
+
+    /// A mistyped or removed flag fails before any work (a typo must
+    /// not silently run with the default) and names the flag.
+    #[test]
+    fn unknown_flags_are_rejected_before_any_work() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        assert_eq!(
+            dispatch(&args("serve --io-mode blocking")).unwrap_err(),
+            "unknown flag --io-mode for serve"
+        );
+        assert_eq!(
+            dispatch(&args("run l0 --sede 7")).unwrap_err(),
+            "unknown flag --sede for run"
+        );
+        // Every accepted flag is one USAGE documents.
+        for subcommand in [
+            "gen", "exact", "run", "batch", "verify", "serve", "stats", "shutdown", "party",
+            "query", "update",
+        ] {
+            for flag in known_flags(subcommand).unwrap().split_whitespace() {
+                assert!(
+                    USAGE.contains(&format!("--{flag} ")) || USAGE.contains(&format!("--{flag}]")),
+                    "--{flag} of {subcommand} is missing from USAGE"
+                );
+            }
+        }
     }
 
     #[test]

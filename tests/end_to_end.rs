@@ -209,7 +209,7 @@ fn join_view_matches_matrix_view() {
 fn runs_are_reproducible_from_seeds() {
     // Same seed => identical output AND identical transcript, despite the
     // two parties running on real threads. This is the determinism
-    // contract every experiment in EXPERIMENTS.md relies on.
+    // contract every experiment relies on.
     let w = world();
     let params = LpParams::new(PNorm::ONE, 0.3);
     let r1 = w.session.run_seeded(&LpNorm, &params, Seed(777)).unwrap();

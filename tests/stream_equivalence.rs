@@ -5,19 +5,10 @@
 //! and integer pairs, for all 14 protocols; `KIND_UPDATE` batches pushed
 //! over a real socket leave the served daemon session and a local mirror
 //! bit-identical (and the party host's live session in lockstep with an
-//! initiator's); and a v2-era client — one built before the update
-//! family existed — still completes a query against the v3 daemon via
-//! codec-version negotiation.
+//! initiator's).
 
-use mpest::net::codec::MAGIC;
-use mpest::net::{
-    fingerprint, run_with_party, update_party, FramedConn, PartyHost, QueryMsg, ServeClient,
-    Server, ServiceMsg, UpdateMsg, WCsr, MIN_VERSION, VERSION,
-};
+use mpest::net::{fingerprint, run_with_party, update_party, PartyHost, ServeClient, Server};
 use mpest::prelude::*;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
 
 /// Runs the full 14-protocol catalog on both sessions under identical
 /// explicit seeds and asserts report-level bit-identity — `Ok` reports
@@ -402,97 +393,4 @@ fn party_updates_keep_remote_runs_bit_identical() {
         .expect("host survives a stale update");
     assert_eq!(remote.output, local.output);
     host.shutdown();
-}
-
-/// Codec-version negotiation, end to end: a client that only speaks v2
-/// — hand-rolled preamble advertising `2..=2`, exactly what a binary
-/// built before the update family would send — completes a full query
-/// round-trip (query → need-matrices → upload → reports) against the
-/// current daemon, with reports bit-identical to a local run. The same
-/// connection then refuses to *send* v3-only messages locally, typed.
-#[test]
-fn v2_client_completes_a_query_against_a_v3_daemon() {
-    assert_eq!(MIN_VERSION, 2, "test models a v2 peer");
-    let a = Workloads::integer_csr(10, 8, 0.4, 4, false, 53);
-    let b = Workloads::integer_csr(8, 10, 0.4, 4, false, 54);
-    let local = Session::new(a.clone(), b.clone());
-    let server = Server::spawn("127.0.0.1:0", 0).expect("bind loopback daemon");
-
-    // Hand-rolled handshake: same magic, but min and max both 2.
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    let mut preamble = [0u8; 8];
-    preamble[..4].copy_from_slice(&MAGIC);
-    preamble[4..6].copy_from_slice(&2u16.to_be_bytes());
-    preamble[6..8].copy_from_slice(&2u16.to_be_bytes());
-    stream.write_all(&preamble).expect("send v2 preamble");
-    let mut reply = [0u8; 8];
-    stream.read_exact(&mut reply).expect("daemon preamble");
-    assert_eq!(&reply[..4], &MAGIC, "daemon magic");
-    assert_eq!(
-        u16::from_be_bytes([reply[4], reply[5]]),
-        MIN_VERSION,
-        "daemon still offers v2"
-    );
-    assert_eq!(
-        u16::from_be_bytes([reply[6], reply[7]]),
-        VERSION,
-        "daemon tops out at the current version"
-    );
-
-    // Speak v2 on the wire; the daemon negotiated down to meet us.
-    let mut conn = FramedConn::new(stream).with_version(2);
-    conn.set_timeouts(Some(Duration::from_secs(30)))
-        .expect("socket deadlines");
-    let queries = vec![
-        (7700u64, EstimateRequest::ExactL1),
-        (
-            7701,
-            EstimateRequest::LpNorm {
-                p: PNorm::ONE,
-                eps: 0.3,
-            },
-        ),
-    ];
-    conn.send_msg(&ServiceMsg::Query(QueryMsg {
-        fp_a: fingerprint(&a),
-        fp_b: fingerprint(&b),
-        queries: queries.clone(),
-        at_epoch: None,
-        id: 0,
-    }))
-    .expect("v2 query sends");
-    assert!(
-        matches!(conn.recv_msg_required(), Ok(ServiceMsg::NeedMatrices)),
-        "fresh daemon asks for the pair"
-    );
-    conn.send_msg(&ServiceMsg::Matrices {
-        a: WCsr(a.clone()),
-        b: WCsr(b.clone()),
-    })
-    .expect("v2 upload sends");
-    let reports = match conn.recv_msg_required().expect("reply") {
-        ServiceMsg::Reports(r) => r,
-        other => panic!("expected reports, got {}", other.name()),
-    };
-    assert_eq!(reports.reports.len(), 2);
-    assert_eq!(reports.epoch, 0, "v2 wire carries no epoch field");
-    for ((seed, request), served) in queries.iter().zip(&reports.reports) {
-        let expected = local.estimate_seeded(request, Seed(*seed)).unwrap();
-        assert_eq!(served, &expected, "{} over v2", request.name());
-    }
-
-    // v3-only traffic is refused before it touches the wire.
-    let err = conn
-        .send_msg(&ServiceMsg::Update(UpdateMsg {
-            fp_a: fingerprint(&a),
-            fp_b: fingerprint(&b),
-            expect_epoch: 0,
-            batch: UpdateBatch::new().set_entry(UpdateSide::Alice, 0, 0, 1),
-        }))
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("requires codec v3"),
-        "update gated on v2 connection: {err}"
-    );
-    server.shutdown();
 }
