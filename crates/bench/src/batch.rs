@@ -7,8 +7,8 @@
 //! *bit-identical* to the sequential seeded run. Each point reports two
 //! speedups: over its own executor's sequential baseline (parallel
 //! scaling; bounded by the host's core count) and over the *threaded*
-//! sequential baseline (the engine's pre-fused state — the number that
-//! was stuck at ~1.0x before the fused executor existed).
+//! sequential baseline (each query on two threads of the remote
+//! executor).
 //! [`BatchBench::save_json`] writes the `BENCH_batch.json` trajectory
 //! consumed by the workflow's artifact upload.
 
@@ -32,8 +32,7 @@ pub struct BatchPoint {
     /// Speedup over this executor's own sequential baseline (parallel
     /// scaling; saturates at the host's core count).
     pub speedup: f64,
-    /// Speedup over the *threaded* sequential baseline — the engine's
-    /// state before the fused executor existed.
+    /// Speedup over the *threaded* sequential baseline.
     pub speedup_vs_threaded_seq: f64,
     /// Whether the batch output was bit-identical to the sequential run.
     pub matches_sequential: bool,
@@ -120,8 +119,7 @@ pub fn run(quick: bool) -> BatchBench {
 
     // Sequential baselines under both executors: the fused one is the
     // reference run every batch must reproduce; the threaded one is the
-    // engine's pre-fused cost that `speedup_vs_threaded_seq` is
-    // measured against.
+    // baseline `speedup_vs_threaded_seq` is measured against.
     let mut fused_sequential_secs = 0.0f64;
     let mut threaded_sequential_secs = 0.0f64;
     let mut sequential: Vec<EstimateReport> = Vec::new();

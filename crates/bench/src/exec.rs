@@ -2,9 +2,12 @@
 //! second CI bench-smoke artifact).
 //!
 //! The protocols are communication-bounded, so the execution substrate
-//! should cost microseconds — yet the threaded reference executor pays
-//! two thread spawns plus channel and lock traffic per query. This
-//! trajectory measures exactly that overhead:
+//! should cost microseconds — yet the threaded backend, the remote
+//! executor run on two threads over an in-memory pipe, pays two thread
+//! spawns, a channel send per frame, and the end and output exchanges
+//! per query. This trajectory measures exactly that overhead, and its
+//! bit-identity checks pin the fused path to the remote executor every
+//! party host runs:
 //!
 //! 1. **Per-protocol latency** for all 14 entry points under both
 //!    backends, with a bit-identity check per protocol — the part CI
@@ -16,8 +19,7 @@
 //!    executor exists for; the headline `fused_speedup` comes from here.
 //! 3. **Engine points**: the same wire-bound mix through the batch
 //!    [`Engine`] on fused workers, reported as speedup over the
-//!    *threaded sequential* baseline — the end-to-end number that was
-//!    stuck at ~1.0x before the fused executor existed.
+//!    *threaded sequential* baseline.
 //!
 //! [`ExecBench::save_json`] writes the `BENCH_exec.json` artifact.
 
@@ -54,8 +56,7 @@ pub struct EnginePoint {
     pub secs: f64,
     /// Queries per second.
     pub qps: f64,
-    /// Speedup over the *threaded sequential* baseline (the pre-fused
-    /// state of the engine).
+    /// Speedup over the *threaded sequential* baseline.
     pub speedup_vs_threaded_seq: f64,
     /// Whether the batch was bit-identical to the sequential run.
     pub matches_sequential: bool,

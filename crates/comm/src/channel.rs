@@ -1,5 +1,4 @@
-//! Protocol execution substrate: the party-facing [`Link`] handle and the
-//! reference [`Threaded`](crate::ExecBackend::Threaded) executor.
+//! Protocol execution substrate: the party-facing [`Link`] handle.
 //!
 //! A [`Link`] is one party's handle to the conversation: [`Link::send`]
 //! encodes a [`Wire`] value into a byte frame, records its exact bit
@@ -9,25 +8,24 @@
 //! (simultaneous messages), matching the round convention of
 //! communication complexity.
 //!
-//! How frames actually move depends on the executor backend (see
-//! [`crate::exec`]): the *threaded* backend in this module runs Alice and
-//! Bob as scoped threads linked by channels (the reference
-//! implementation), while the *fused* backend runs both parties
-//! cooperatively on the calling thread. Protocol code is written against
-//! `Link` only and cannot observe the difference: outputs and transcripts
-//! are bit-identical across backends.
+//! A link has two transports (see [`crate::exec`]): the *fused* one
+//! shares in-memory queues with a peer running cooperatively on the same
+//! thread, and the *remote* one writes frames to a byte stream with the
+//! peer at its other end — a socket to another process, or the in-memory
+//! pipe between the threaded backend's two threads. Protocol code is
+//! written against `Link` only and cannot observe the difference:
+//! outputs and transcripts are bit-identical across executors.
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::BitReader;
 use crate::error::CommError;
 use crate::exec::FusedCore;
 use crate::remote::{decode_remote, encode_and_send, RemoteEndpoint};
 use crate::transcript::{MsgRecord, Party, Transcript};
 use crate::wire::Wire;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
-/// A frame on the wire: label + packed payload. The round annotation lives
-/// only in the transcript (it is bookkeeping, not information sent).
+/// A fused-executor frame in flight: label + packed payload. The round
+/// annotation lives only in the transcript (it is bookkeeping, not
+/// information sent).
 #[derive(Debug)]
 pub(crate) struct Frame {
     pub(crate) label: &'static str,
@@ -35,8 +33,8 @@ pub(crate) struct Frame {
     pub(crate) payload: Vec<u8>,
 }
 
-/// Verifies a frame's label and decodes its payload — the one decode path
-/// shared by every backend (and by replayed receives in the fused one).
+/// Verifies a frame's label and decodes its payload — the fused
+/// backend's decode path, shared by fresh and replayed receives.
 pub(crate) fn decode_frame<T: Wire>(frame: &Frame, expect: &'static str) -> Result<T, CommError> {
     if frame.label != expect {
         return Err(CommError::LabelMismatch {
@@ -64,58 +62,22 @@ pub(crate) fn canonicalize(records: &mut [MsgRecord]) {
     records.sort_by_key(|r| (r.round, r.from == Party::Bob));
 }
 
-/// Shared transcript recorder for the threaded backend. Messages are
-/// recorded in global send order and canonicalized afterwards.
-#[derive(Debug, Default)]
-struct Recorder {
-    records: Mutex<Vec<MsgRecord>>,
-}
-
-impl Recorder {
-    fn record(&self, from: Party, round: u16, label: &'static str, bits: u64) {
-        self.records.lock().push(MsgRecord {
-            from,
-            round,
-            label,
-            bits,
-        });
-    }
-}
-
 /// One party's handle to the conversation.
 pub struct Link<'a> {
     side: Party,
     inner: LinkInner<'a>,
 }
 
-/// Backend-specific frame transport behind a [`Link`].
+/// Executor-specific frame transport behind a [`Link`].
 enum LinkInner<'a> {
-    /// Crossbeam channels to a peer thread plus the shared recorder.
-    Threaded {
-        tx: Sender<Frame>,
-        rx: Receiver<Frame>,
-        recorder: &'a Recorder,
-    },
     /// Single-thread cooperative state shared with the peer.
     Fused { core: &'a FusedCore },
-    /// This party runs alone in this process; the peer is behind a framed
-    /// byte transport in another process (see [`crate::remote`]).
+    /// This party runs alone on its thread; the peer is behind a framed
+    /// byte transport (see [`crate::remote`]).
     Remote { ep: &'a dyn RemoteEndpoint },
 }
 
 impl<'a> Link<'a> {
-    fn threaded(
-        side: Party,
-        tx: Sender<Frame>,
-        rx: Receiver<Frame>,
-        recorder: &'a Recorder,
-    ) -> Self {
-        Self {
-            side,
-            inner: LinkInner::Threaded { tx, rx, recorder },
-        }
-    }
-
     pub(crate) fn fused(side: Party, core: &'a FusedCore) -> Self {
         Self {
             side,
@@ -148,18 +110,6 @@ impl<'a> Link<'a> {
         value: &T,
     ) -> Result<(), CommError> {
         match &self.inner {
-            LinkInner::Threaded { tx, recorder, .. } => {
-                let mut w = BitWriter::new();
-                value.encode(&mut w);
-                let (payload, bits) = w.finish_vec();
-                recorder.record(self.side, round, label, bits);
-                tx.send(Frame {
-                    label,
-                    bits,
-                    payload,
-                })
-                .map_err(|_| CommError::ChannelClosed)
-            }
             LinkInner::Fused { core } => core.send(self.side, round, label, value),
             LinkInner::Remote { ep } => encode_and_send(*ep, round, label, value),
         }
@@ -174,10 +124,6 @@ impl<'a> Link<'a> {
     /// of sync, or [`CommError::Decode`] on a malformed payload.
     pub fn recv<T: Wire>(&self, expect_label: &'static str) -> Result<T, CommError> {
         match &self.inner {
-            LinkInner::Threaded { rx, .. } => {
-                let frame = rx.recv().map_err(|_| CommError::ChannelClosed)?;
-                decode_frame(&frame, expect_label)
-            }
             LinkInner::Fused { core } => core.recv(self.side, expect_label),
             LinkInner::Remote { ep } => {
                 let frame = ep.recv_expect(expect_label)?;
@@ -232,63 +178,6 @@ pub(crate) fn resolve_party_results<AOut, BOut>(
             ea
         }),
     }
-}
-
-/// Runs a two-party protocol on the reference threaded backend:
-/// `alice_fn` and `bob_fn` execute on separate scoped threads and may
-/// only interact through their [`Link`]s.
-///
-/// # Errors
-///
-/// Returns the first [`CommError`] raised by either party. If one party
-/// errors, the other typically observes [`CommError::ChannelClosed`]; the
-/// originating error is preferred.
-///
-/// # Panics
-///
-/// Panics if a party function panics (the panic is propagated).
-pub(crate) fn execute_threaded<AIn, BIn, AOut, BOut, FA, FB>(
-    alice_in: AIn,
-    bob_in: BIn,
-    alice_fn: FA,
-    bob_fn: FB,
-) -> Result<ExecutionOutcome<AOut, BOut>, CommError>
-where
-    AIn: Send,
-    BIn: Send,
-    AOut: Send,
-    BOut: Send,
-    FA: FnOnce(&Link<'_>, AIn) -> Result<AOut, CommError> + Send,
-    FB: FnOnce(&Link<'_>, BIn) -> Result<BOut, CommError> + Send,
-{
-    let recorder = Recorder::default();
-    let (a_tx, b_rx) = unbounded::<Frame>();
-    let (b_tx, a_rx) = unbounded::<Frame>();
-
-    let (a_res, b_res) = std::thread::scope(|scope| {
-        let rec = &recorder;
-        let a_handle = scope.spawn(move || {
-            let link = Link::threaded(Party::Alice, a_tx, a_rx, rec);
-            alice_fn(&link, alice_in)
-        });
-        let b_handle = scope.spawn(move || {
-            let link = Link::threaded(Party::Bob, b_tx, b_rx, rec);
-            bob_fn(&link, bob_in)
-        });
-        (
-            a_handle.join().expect("alice thread panicked"),
-            b_handle.join().expect("bob thread panicked"),
-        )
-    });
-
-    let (alice, bob) = resolve_party_results(a_res, b_res)?;
-    let mut records = recorder.records.into_inner();
-    canonicalize(&mut records);
-    Ok(ExecutionOutcome {
-        alice,
-        bob,
-        transcript: Transcript { records },
-    })
 }
 
 #[cfg(test)]

@@ -7,11 +7,13 @@
 //! entry point, [`execute_with`] (and [`execute`], which uses the
 //! default):
 //!
-//! * [`ExecBackend::Threaded`] — the reference implementation: Alice and
-//!   Bob run as scoped OS threads linked by channels (see
-//!   [`crate::channel`]). Two thread spawns, channel sends, and a locked
-//!   transcript recorder per query; trivially correct, but the per-query
-//!   overhead (tens of microseconds) dwarfs a microsecond protocol.
+//! * [`ExecBackend::Threaded`] — the in-process oracle for the remote
+//!   executor: Alice and Bob each run as a remote party (see
+//!   [`crate::remote`]) on a scoped OS thread of their own, linked by an
+//!   in-memory pipe instead of a socket. It is the same code every party
+//!   host runs, end exchange and output exchange included; two thread
+//!   spawns and a channel send per event cost tens of microseconds per
+//!   query, which dwarfs a microsecond protocol.
 //! * [`ExecBackend::Fused`] (the default) — both parties run
 //!   cooperatively on the *calling* thread. `send` appends frames to
 //!   in-memory per-direction queues, `recv` on an empty inbox yields to
@@ -53,11 +55,10 @@
 
 use crate::bits::BitWriter;
 use crate::channel::{
-    canonicalize, decode_frame, execute_threaded, resolve_party_results, ExecutionOutcome, Frame,
-    Link,
+    canonicalize, decode_frame, resolve_party_results, ExecutionOutcome, Frame, Link,
 };
 use crate::error::CommError;
-use crate::remote::{execute_remote, missing_input, RemoteCtx};
+use crate::remote::{execute_remote, missing_input, run_pair, PipeIo, RemoteCtx};
 use crate::transcript::{MsgRecord, Party, Transcript};
 use crate::wire::Wire;
 use std::cell::{Cell, RefCell};
@@ -72,11 +73,12 @@ pub enum ExecBackend {
     /// per-query cost, zero-allocation wire path, no OS involvement.
     #[default]
     Fused,
-    /// Reference two-thread execution: each party on its own scoped
-    /// thread. Parties compute their local phases in parallel, so this
-    /// can win on *single* huge queries; for batches, run fused queries
-    /// across an [`Engine`](../mpest_core/struct.Engine.html) pool
-    /// instead.
+    /// Two-thread execution: each party runs the remote executor
+    /// ([`Exec::Remote`]) on its own scoped thread, linked to the other
+    /// by an in-memory pipe. Parties compute their local phases in
+    /// parallel, so this can win on *single* huge queries; for batches,
+    /// run fused queries across an
+    /// [`Engine`](../mpest_core/struct.Engine.html) pool instead.
     Threaded,
 }
 
@@ -478,7 +480,10 @@ where
             let bob_in = bob_in.ok_or_else(|| missing_input(Party::Bob))?;
             match backend {
                 ExecBackend::Fused => execute_fused(alice_in, bob_in, alice_fn, bob_fn),
-                ExecBackend::Threaded => execute_threaded(alice_in, bob_in, alice_fn, bob_fn),
+                // Both remote outcomes are equal; Alice's stands for the run.
+                ExecBackend::Threaded => {
+                    run_pair(PipeIo::pair(), alice_in, bob_in, alice_fn, bob_fn).0
+                }
             }
         }
         Exec::Remote(rc) => execute_remote(rc, alice_in, bob_in, alice_fn, bob_fn),
@@ -665,6 +670,27 @@ mod tests {
     fn oversized_buffers_are_not_retained() {
         pool_put(Vec::with_capacity(POOL_MAX_CAPACITY + 1));
         assert!(SCRATCH_POOL.with(|p| p.borrow().iter().all(|b| b.capacity() <= POOL_MAX_CAPACITY)));
+    }
+
+    #[test]
+    #[should_panic(expected = "alice gave up after her first send")]
+    fn threaded_reraises_a_party_panic_with_its_payload() {
+        // Bob blocks on a second message that never comes; Alice's
+        // unwinding closes her pipe end, so Bob fails and his thread
+        // exits instead of hanging the scope.
+        let _ = execute_with::<(), (), u64, u64, _, _>(
+            ExecBackend::Threaded,
+            (),
+            (),
+            |link, ()| {
+                link.send(0, "first", &1u64)?;
+                panic!("alice gave up after her first send");
+            },
+            |link, ()| {
+                let first: u64 = link.recv("first")?;
+                link.recv::<u64>("second").map(|second| first + second)
+            },
+        );
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! transcript. How the two functions are scheduled is an executor choice
 //! (see [`ExecBackend`]): the default *fused* backend runs both
 //! cooperatively on the calling thread (microsecond queries, zero-alloc
-//! wire path), while the reference *threaded* backend runs them as
-//! scoped OS threads linked by channels; outcomes are bit-identical.
+//! wire path), while the *threaded* backend runs each as a remote party
+//! on its own scoped OS thread, linked by an in-memory pipe; outcomes are
+//! bit-identical.
 //! Shared (public) randomness is modeled by [`Seed`] values handed to
 //! both party closures, following the public-coin convention (by
 //! Newman's theorem this differs from private coins by at most an

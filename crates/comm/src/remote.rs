@@ -1,13 +1,15 @@
 //! Remote execution: one party of a two-party protocol running against a
 //! peer in **another process**, linked by a real byte stream.
 //!
-//! The fused and threaded executors (see [`crate::exec`]) schedule both
-//! party functions inside one process; every "message" is a queue push.
-//! This module is the third backend: the calling process runs exactly
-//! one party, every [`Link::send`] becomes a framed write on a
-//! [`FrameIo`] transport (a TCP socket in `mpest-net`), and every
-//! [`Link::recv`] a framed blocking read. The peer process runs the
-//! complementary party over the same stream.
+//! The fused executor (see [`crate::exec`]) schedules both party
+//! functions on one thread; every "message" is a queue push. This module
+//! is the other executor: the calling process runs exactly one party,
+//! every [`Link::send`] becomes a framed write on a [`FrameIo`] transport
+//! (a TCP socket in `mpest-net`), and every [`Link::recv`] a framed
+//! blocking read. The peer process runs the complementary party over the
+//! same stream. [`ExecBackend::Threaded`](crate::ExecBackend::Threaded)
+//! is this executor too: both parties on two scoped threads of one
+//! process, linked by an in-memory pipe instead of a socket.
 //!
 //! # The bit-identity contract
 //!
@@ -29,7 +31,7 @@
 //!   never consumed), so both sides terminate with the complete record
 //!   and a peer failure surfaces as a typed error instead of a hang.
 //!
-//! Error resolution mirrors the in-process backends': a party's real
+//! Error resolution mirrors the fused backend's: a party's real
 //! error is preferred over the [`CommError::ChannelClosed`] echo its peer
 //! observes.
 //!
@@ -54,7 +56,8 @@ use crate::wire::Wire;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::panic::resume_unwind;
+use std::sync::{mpsc, Mutex, OnceLock};
 
 /// Longest label accepted from the wire (the library's own labels are
 /// all far shorter).
@@ -134,8 +137,8 @@ pub enum RemoteEvent {
 
 /// A framed, bidirectional, FIFO byte transport linking this process to
 /// the peer party. `mpest-net` implements it over TCP with a
-/// length-prefixed, versioned codec; tests implement it over in-memory
-/// pipes.
+/// length-prefixed, versioned codec; the threaded backend over an
+/// in-memory pipe.
 ///
 /// The contract is *completion*, not blocking. A blocking implementation
 /// (`mpest-net`'s `FramedConn`) writes and reads synchronously, so two
@@ -413,10 +416,6 @@ pub(crate) fn encode_and_send<T: Wire>(
     ep.send_encoded(round, label, bits, &payload)
 }
 
-/// Runs the `rc.side()` party of a protocol over the remote transport;
-/// the peer process is expected to run the complementary party over the
-/// same stream. See the module docs for the bit-identity contract and
-/// the post-protocol output exchange.
 /// Error for a split execution that was asked to run a side whose input
 /// the caller does not hold.
 pub(crate) fn missing_input(side: Party) -> CommError {
@@ -425,6 +424,10 @@ pub(crate) fn missing_input(side: Party) -> CommError {
     ))
 }
 
+/// Runs the `rc.side()` party of a protocol over the remote transport;
+/// the peer process is expected to run the complementary party over the
+/// same stream. See the module docs for the bit-identity contract and
+/// the post-protocol output exchange.
 pub(crate) fn execute_remote<AIn, BIn, AOut, BOut, FA, FB>(
     rc: &RemoteCtx<'_>,
     alice_in: Option<AIn>,
@@ -489,102 +492,112 @@ where
     })
 }
 
+/// An in-memory [`FrameIo`]: one end of a pair of `mpsc` channels.
+/// Events cross as values, so a peer's [`CommError`] arrives exactly as
+/// it was raised; dropping an end closes it, and the peer's next receive
+/// (once drained) or send observes [`CommError::ChannelClosed`].
+pub(crate) struct PipeIo {
+    tx: mpsc::Sender<RemoteEvent>,
+    rx: mpsc::Receiver<RemoteEvent>,
+}
+
+impl PipeIo {
+    /// Two connected ends: what one sends, the other receives.
+    pub(crate) fn pair() -> (PipeIo, PipeIo) {
+        let (a_tx, b_rx) = mpsc::channel();
+        let (b_tx, a_rx) = mpsc::channel();
+        (PipeIo { tx: a_tx, rx: a_rx }, PipeIo { tx: b_tx, rx: b_rx })
+    }
+
+    fn send(&self, event: RemoteEvent) -> Result<(), CommError> {
+        self.tx.send(event).map_err(|_| CommError::ChannelClosed)
+    }
+}
+
+impl FrameIo for PipeIo {
+    fn send_frame(
+        &mut self,
+        round: u16,
+        label: &str,
+        bits: u64,
+        payload: &[u8],
+    ) -> Result<(), CommError> {
+        self.send(RemoteEvent::Frame(RemoteFrame {
+            round,
+            label: label.to_owned(),
+            bits,
+            payload: payload.to_vec(),
+        }))
+    }
+
+    fn send_end(&mut self, status: Result<(), &CommError>) -> Result<(), CommError> {
+        self.send(RemoteEvent::End(status.map_err(Clone::clone)))
+    }
+
+    fn send_output(&mut self, payload: &[u8]) -> Result<(), CommError> {
+        self.send(RemoteEvent::Output(payload.to_vec()))
+    }
+
+    fn recv_event(&mut self) -> Result<RemoteEvent, CommError> {
+        self.rx.recv().map_err(|_| CommError::ChannelClosed)
+    }
+}
+
+/// One party's view of a finished run.
+type Outcome<AOut, BOut> = Result<ExecutionOutcome<AOut, BOut>, CommError>;
+
+/// Stands in for the party function a thread of [`run_pair`] does not
+/// hold: [`execute_remote`] only ever calls its own side's.
+fn not_local<I, O>(_: &Link<'_>, _: I) -> Result<O, CommError> {
+    unreachable!("a remote party runs only its own side's function")
+}
+
+/// Runs both parties of a protocol as [`execute_remote`] on two scoped
+/// threads, Alice over the first transport end and Bob over the second,
+/// and returns both outcomes (equal under the remote contract). Each
+/// thread owns its transport end, its side's input and its side's
+/// function, so the functions need `Send` but never `Sync`. If a party
+/// panics, unwinding drops its end, the peer fails with
+/// [`CommError::ChannelClosed`] instead of blocking forever, and the
+/// panic is re-raised here with its original payload.
+pub(crate) fn run_pair<IA, IB, AIn, BIn, AOut, BOut, FA, FB>(
+    (mut a_io, mut b_io): (IA, IB),
+    alice_in: AIn,
+    bob_in: BIn,
+    alice_fn: FA,
+    bob_fn: FB,
+) -> (Outcome<AOut, BOut>, Outcome<AOut, BOut>)
+where
+    IA: FrameIo + Send,
+    IB: FrameIo + Send,
+    AIn: Send,
+    BIn: Send,
+    AOut: Wire + Send,
+    BOut: Wire + Send,
+    FA: Fn(&Link<'_>, AIn) -> Result<AOut, CommError> + Send,
+    FB: Fn(&Link<'_>, BIn) -> Result<BOut, CommError> + Send,
+{
+    let (alice, bob) = std::thread::scope(|scope| {
+        let alice = scope.spawn(move || {
+            let rc = RemoteCtx::new(Party::Alice, &mut a_io);
+            execute_remote(&rc, Some(alice_in), None, alice_fn, not_local::<BIn, BOut>)
+        });
+        let bob = scope.spawn(move || {
+            let rc = RemoteCtx::new(Party::Bob, &mut b_io);
+            execute_remote(&rc, None, Some(bob_in), not_local::<AIn, AOut>, bob_fn)
+        });
+        (alice.join(), bob.join())
+    });
+    match (alice, bob) {
+        (Ok(alice), Ok(bob)) => (alice, bob),
+        (Err(panic), _) | (_, Err(panic)) => resume_unwind(panic),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_with, Exec};
-    use std::collections::VecDeque;
-    use std::sync::mpsc;
-
-    /// An in-memory [`FrameIo`] built on two mpsc channels — the remote
-    /// machinery without sockets.
-    struct PipeIo {
-        tx: mpsc::Sender<RemoteEvent>,
-        rx: mpsc::Receiver<RemoteEvent>,
-        buffered: VecDeque<RemoteEvent>,
-    }
-
-    fn pipe_pair() -> (PipeIo, PipeIo) {
-        let (a_tx, b_rx) = mpsc::channel();
-        let (b_tx, a_rx) = mpsc::channel();
-        (
-            PipeIo {
-                tx: a_tx,
-                rx: a_rx,
-                buffered: VecDeque::new(),
-            },
-            PipeIo {
-                tx: b_tx,
-                rx: b_rx,
-                buffered: VecDeque::new(),
-            },
-        )
-    }
-
-    impl FrameIo for PipeIo {
-        fn send_frame(
-            &mut self,
-            round: u16,
-            label: &str,
-            bits: u64,
-            payload: &[u8],
-        ) -> Result<(), CommError> {
-            self.tx
-                .send(RemoteEvent::Frame(RemoteFrame {
-                    round,
-                    label: label.to_owned(),
-                    bits,
-                    payload: payload.to_vec(),
-                }))
-                .map_err(|_| CommError::ChannelClosed)
-        }
-
-        fn send_end(&mut self, status: Result<(), &CommError>) -> Result<(), CommError> {
-            self.tx
-                .send(RemoteEvent::End(status.map_err(Clone::clone)))
-                .map_err(|_| CommError::ChannelClosed)
-        }
-
-        fn send_output(&mut self, payload: &[u8]) -> Result<(), CommError> {
-            self.tx
-                .send(RemoteEvent::Output(payload.to_vec()))
-                .map_err(|_| CommError::ChannelClosed)
-        }
-
-        fn recv_event(&mut self) -> Result<RemoteEvent, CommError> {
-            if let Some(ev) = self.buffered.pop_front() {
-                return Ok(ev);
-            }
-            self.rx.recv().map_err(|_| CommError::ChannelClosed)
-        }
-    }
-
-    type PairResult<AOut, BOut> = Result<ExecutionOutcome<AOut, BOut>, CommError>;
-
-    /// Runs both remote halves of a protocol on two threads linked by an
-    /// in-memory pipe and returns (alice outcome, bob outcome).
-    fn run_remote_pair<AOut, BOut, FA, FB>(
-        alice_fn: FA,
-        bob_fn: FB,
-    ) -> (PairResult<AOut, BOut>, PairResult<AOut, BOut>)
-    where
-        AOut: Wire + Send,
-        BOut: Wire + Send,
-        FA: Fn(&Link<'_>, ()) -> Result<AOut, CommError> + Send + Clone,
-        FB: Fn(&Link<'_>, ()) -> Result<BOut, CommError> + Send + Clone,
-    {
-        let (mut a_io, mut b_io) = pipe_pair();
-        std::thread::scope(|scope| {
-            let (a_fn, b_fn) = (alice_fn.clone(), bob_fn.clone());
-            let bob = scope.spawn(move || {
-                let rc = RemoteCtx::new(Party::Bob, &mut b_io);
-                execute_with(Exec::Remote(&rc), (), (), a_fn, b_fn)
-            });
-            let rc = RemoteCtx::new(Party::Alice, &mut a_io);
-            let alice = execute_with(Exec::Remote(&rc), (), (), alice_fn, bob_fn);
-            (alice, bob.join().expect("bob thread"))
-        })
-    }
+    use crate::exec::execute_with;
 
     #[test]
     fn remote_pair_matches_fused_transcript_and_outputs() {
@@ -602,7 +615,7 @@ mod tests {
             Ok(a + b)
         };
         let fused = execute_with(crate::ExecBackend::Fused, (), (), alice_fn, bob_fn).unwrap();
-        let (alice, bob) = run_remote_pair(alice_fn, bob_fn);
+        let (alice, bob) = run_pair(PipeIo::pair(), (), (), alice_fn, bob_fn);
         let (alice, bob) = (alice.unwrap(), bob.unwrap());
         // The output exchange completes both outcomes: each process ends
         // with the full result, bit-identical to the fused run.
@@ -616,7 +629,7 @@ mod tests {
         let bob_fn = |_link: &Link<'_>, ()| -> Result<u64, CommError> {
             Err(CommError::protocol("bob bad"))
         };
-        let (alice, bob) = run_remote_pair(alice_fn, bob_fn);
+        let (alice, bob) = run_pair(PipeIo::pair(), (), (), alice_fn, bob_fn);
         assert_eq!(alice.unwrap_err(), CommError::protocol("bob bad"));
         assert_eq!(bob.unwrap_err(), CommError::protocol("bob bad"));
     }
@@ -625,7 +638,7 @@ mod tests {
     fn label_mismatch_surfaces_on_the_receiving_side() {
         let alice_fn = |link: &Link<'_>, ()| link.send(0, "alpha", &1u64);
         let bob_fn = |link: &Link<'_>, ()| link.recv::<u64>("beta");
-        let (alice, bob) = run_remote_pair(alice_fn, bob_fn);
+        let (alice, bob) = run_pair(PipeIo::pair(), (), (), alice_fn, bob_fn);
         let expected = CommError::LabelMismatch {
             expected: "beta",
             got: intern_label("alpha").unwrap(),
@@ -648,11 +661,129 @@ mod tests {
         };
         let bob_fn = |link: &Link<'_>, ()| link.recv::<u64>("first");
         let fused = execute_with(crate::ExecBackend::Fused, (), (), alice_fn, bob_fn).unwrap();
-        let (alice, bob) = run_remote_pair(alice_fn, bob_fn);
+        let (alice, bob) = run_pair(PipeIo::pair(), (), (), alice_fn, bob_fn);
         let (alice, bob) = (alice.unwrap(), bob.unwrap());
         assert_eq!(fused.transcript.messages(), 2);
         assert_eq!(alice.transcript, fused.transcript);
         assert_eq!(bob.transcript, fused.transcript);
+    }
+
+    /// A pipe end whose sender is dropped once `left` events (frames,
+    /// end marker, output) have gone out: the next send fails, and the
+    /// peer sees the pipe close after draining what did arrive.
+    struct CutIo {
+        io: PipeIo,
+        left: usize,
+    }
+
+    impl CutIo {
+        fn spend(&mut self) -> Result<(), CommError> {
+            if self.left == 0 {
+                self.io.tx = mpsc::channel().0;
+                return Err(CommError::ChannelClosed);
+            }
+            self.left -= 1;
+            Ok(())
+        }
+    }
+
+    impl FrameIo for CutIo {
+        fn send_frame(
+            &mut self,
+            round: u16,
+            label: &str,
+            bits: u64,
+            payload: &[u8],
+        ) -> Result<(), CommError> {
+            self.spend()?;
+            self.io.send_frame(round, label, bits, payload)
+        }
+
+        fn send_end(&mut self, status: Result<(), &CommError>) -> Result<(), CommError> {
+            self.spend()?;
+            self.io.send_end(status)
+        }
+
+        fn send_output(&mut self, payload: &[u8]) -> Result<(), CommError> {
+            self.spend()?;
+            self.io.send_output(payload)
+        }
+
+        fn recv_event(&mut self) -> Result<RemoteEvent, CommError> {
+            self.io.recv_event()
+        }
+    }
+
+    /// The asymmetric chatty protocol of the `exec` tests, run with
+    /// inputs 3 and 4: simultaneous exchange, bursts both ways, and
+    /// data-dependent lengths.
+    fn chatty_alice(link: &Link<'_>, n: u64) -> Result<u64, CommError> {
+        let theirs: u64 = link.exchange(0, "sizes", &n)?;
+        for i in 0..n {
+            link.send(1, "a-burst", &(i * i))?;
+        }
+        let mut total = 0u64;
+        for _ in 0..theirs {
+            total += link.recv::<u64>("b-burst")?;
+        }
+        link.send(3, "total", &total)?;
+        Ok(total)
+    }
+
+    fn chatty_bob(link: &Link<'_>, n: u64) -> Result<(Vec<u64>, u64), CommError> {
+        let theirs: u64 = link.exchange(0, "sizes", &n)?;
+        let mut got = Vec::new();
+        for _ in 0..theirs {
+            got.push(link.recv::<u64>("a-burst")?);
+        }
+        for i in 0..n {
+            link.send(2, "b-burst", &(i + 10))?;
+        }
+        let total: u64 = link.recv("total")?;
+        Ok((got, total))
+    }
+
+    #[test]
+    fn cutting_the_pipe_at_any_event_fails_both_parties() {
+        // Each side of the chatty run sends 5 frames, its end marker and
+        // its output.
+        const EVENTS: usize = 7;
+        let fused = execute_with(
+            crate::ExecBackend::Fused,
+            3u64,
+            4u64,
+            chatty_alice,
+            chatty_bob,
+        )
+        .unwrap();
+        for cut in [Party::Alice, Party::Bob] {
+            for k in 0..=EVENTS + 1 {
+                let budget = |side| if side == cut { k } else { usize::MAX };
+                let (a, b) = PipeIo::pair();
+                let ios = (
+                    CutIo {
+                        io: a,
+                        left: budget(Party::Alice),
+                    },
+                    CutIo {
+                        io: b,
+                        left: budget(Party::Bob),
+                    },
+                );
+                let (alice, bob) = run_pair(ios, 3u64, 4u64, chatty_alice, chatty_bob);
+                if k < EVENTS {
+                    let closed = Err(CommError::ChannelClosed);
+                    assert_eq!(
+                        (alice, bob),
+                        (closed.clone(), closed),
+                        "{cut} cut after {k}"
+                    );
+                } else {
+                    assert_eq!(alice.as_ref(), Ok(&fused), "{cut} cut after {k}");
+                    assert_eq!(bob.as_ref(), Ok(&fused), "{cut} cut after {k}");
+                }
+            }
+        }
     }
 
     #[test]

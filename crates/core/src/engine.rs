@@ -334,7 +334,7 @@ fn run_pool<'q>(
     exec: ExecBackend,
 ) -> Vec<Result<EstimateReport, CommError>> {
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let query_at = &query_at;
     std::thread::scope(|scope| {
         for _ in 0..workers {

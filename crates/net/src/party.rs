@@ -675,7 +675,10 @@ fn serve_party_loop(
 /// for the half this host actually holds is checked (a nonzero value
 /// pins content, zero skips), the ack reports zero for the unknown peer
 /// slot, and a batch touching the peer's side fails typed inside
-/// [`PartyView::apply_update`].
+/// [`PartyView::apply_update`]. A nonzero peer slot is refused before
+/// anything mutates: only a full-pair mirror ([`update_party`]) sets it,
+/// and that mirror would apply the batch as a new epoch of *both*
+/// halves, leaving the pair out of lockstep with this host.
 fn handle_party_update(session: &PartySession, update: &UpdateMsg) -> ServiceMsg {
     let lock = match session {
         PartySession::Shared(_) => {
@@ -695,10 +698,18 @@ fn handle_party_update(session: &PartySession, update: &UpdateMsg) -> ServiceMsg
                 Party::Alice => (fp, 0, epoch),
                 Party::Bob => (0, fp, epoch),
             };
-            let expect_fp = match side {
-                Party::Alice => update.fp_a,
-                Party::Bob => update.fp_b,
+            let (expect_fp, peer_fp) = match side {
+                Party::Alice => (update.fp_a, update.fp_b),
+                Party::Bob => (update.fp_b, update.fp_a),
             };
+            if peer_fp != 0 {
+                return ServiceMsg::Error(format!(
+                    "this storage-split host holds only the {side} half, but the update \
+                     pins the {} half too, as a full-pair mirror does; push each side's \
+                     ops to the party holding that half with update_split_party",
+                    side.peer()
+                ));
+            }
             if (expect_fp != 0 && expect_fp != own_fp) || update.expect_epoch != epoch {
                 let (fp_a, fp_b, epoch) = slots(own_fp, epoch);
                 return ServiceMsg::StaleEpoch { fp_a, fp_b, epoch };
@@ -749,7 +760,8 @@ fn handle_party_update(session: &PartySession, update: &UpdateMsg) -> ServiceMsg
 ///
 /// Transport errors; a typed stale-epoch rejection when the host has
 /// moved past `local`'s epoch; the host's typed refusal if it serves a
-/// shared immutable session; or a protocol error if the mirror's
+/// shared immutable session or holds only one half (storage-split hosts
+/// take [`update_split_party`]); or a protocol error if the mirror's
 /// post-update fingerprints disagree with the host's.
 pub fn update_party(
     addr: &str,
@@ -1105,6 +1117,33 @@ mod tests {
         let err = update_split_party(&addr, Party::Bob, 0, 0, &bob_ops, Some(PARTY_IO_TIMEOUT))
             .unwrap_err();
         assert!(err.to_string().contains("stale epoch"), "got {err}");
+        host.shutdown();
+    }
+
+    #[test]
+    fn split_host_refuses_full_pair_mirror_updates() {
+        use mpest_comm::Role;
+        use mpest_core::UpdateSide;
+        let mut mirror = session();
+        let host = PartyHost::spawn_split("127.0.0.1:0", mirror.party_view(Role::Bob)).unwrap();
+        let addr = host.addr().to_string();
+        // Only the host's own half is touched, yet the full-pair mirror
+        // would step both halves to epoch 1: the host must refuse it.
+        let batch = UpdateBatch::new().delete_entry(UpdateSide::Bob, 1, 1);
+        let err = update_party(&addr, &mut mirror, &batch, Some(PARTY_IO_TIMEOUT)).unwrap_err();
+        assert!(err.to_string().contains("update_split_party"), "got {err}");
+        assert_eq!(
+            mirror.epoch(),
+            0,
+            "refused update must not touch the mirror"
+        );
+
+        // The host stayed at epoch 0 too: a fresh split initiator passes
+        // the hello and answers bit-identically to the unchanged pair.
+        let request = EstimateRequest::ExactL1;
+        let alice = mirror.party_view(Role::Alice);
+        let (got, _, _) = run_with_party_view(&addr, &alice, &request, Seed(9)).unwrap();
+        assert_eq!(got, mirror.estimate_seeded(&request, Seed(9)).unwrap());
         host.shutdown();
     }
 

@@ -137,8 +137,9 @@ protocols and their options:
   trivial | trivial-binary                        (ship A)
 
 common options: --seed S (default 42), --exact (also print ground truth),
-  --executor fused|threaded (default fused; bit-identical results, the fused
-  single-thread executor skips the per-query thread-spawn/channel overhead)";
+  --executor fused|threaded (default fused; bit-identical results; threaded
+  runs each party as a remote executor on its own thread over an in-memory
+  pipe, paying thread spawns and channel sends the fused executor skips)";
 
 /// Minimal flag parser: `--key value` pairs after the positional words.
 struct Flags(HashMap<String, String>);
