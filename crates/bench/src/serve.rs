@@ -31,10 +31,9 @@ use crate::report::json_escape;
 use mpest_comm::{Party, Seed};
 use mpest_core::{EstimateReport, EstimateRequest, Session};
 use mpest_matrix::Workloads;
-use mpest_net::{run_with_party, FramedConn, PartyHost, ServeClient, Server};
+use mpest_net::{run_with_party_view, FramedConn, PartyHost, ServeClient, Server};
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One protocol's remote-run measurement.
@@ -132,17 +131,10 @@ pub fn run(quick: bool) -> ServeBench {
     let catalog = EstimateRequest::catalog();
 
     // 1. Per-protocol remote runs over a loopback party host.
-    let host = PartyHost::spawn(
-        "127.0.0.1:0",
-        Arc::new(
-            Session::builder(a.clone(), b.clone())
-                .seed(Seed(77))
-                .build(),
-        ),
-        Party::Bob,
-    )
-    .expect("bind loopback party host");
+    let host = PartyHost::spawn_split("127.0.0.1:0", session.party_view(Party::Bob))
+        .expect("bind loopback party host");
     let host_addr = host.addr().to_string();
+    let alice = session.party_view(Party::Alice);
     let mut per_protocol = Vec::new();
     for request in &catalog {
         let seed = Seed(1000 + per_protocol.len() as u64);
@@ -150,7 +142,7 @@ pub fn run(quick: bool) -> ServeBench {
             .estimate_seeded(request, seed)
             .expect("local baseline");
         let (remote, out, inn) =
-            run_with_party(&host_addr, &session, Party::Alice, request, seed).expect("remote run");
+            run_with_party_view(&host_addr, &alice, request, seed).expect("remote run");
         let logical_bits = local.bits();
         let wire_bytes = out + inn;
         let logical_bytes = logical_bits.div_ceil(8).max(1);

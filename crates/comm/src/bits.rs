@@ -9,7 +9,7 @@
 //! `Õ(1)`-bit-per-entry convention).
 
 use crate::error::CommError;
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// Number of bits needed to address `n` distinct values (`0..n`).
 ///
@@ -148,14 +148,14 @@ impl BitWriter {
     /// of payload bits (the final byte may contain padding zeros that are
     /// *not* billed).
     #[must_use]
-    pub fn finish(self) -> (Bytes, u64) {
+    pub fn finish(self) -> (Arc<[u8]>, u64) {
         let (buf, bits) = self.finish_vec();
-        (Bytes::from(buf), bits)
+        (buf.into(), bits)
     }
 
     /// Like [`BitWriter::finish`], but returns the raw byte buffer
-    /// without wrapping it in a shared [`Bytes`] handle (which copies
-    /// into a fresh reference-counted allocation). The wire path of the
+    /// without wrapping it in a shared `Arc<[u8]>` (which copies into a
+    /// fresh reference-counted allocation). The wire path of the
     /// fused executor moves these buffers between a scratch pool, the
     /// in-memory queues, and back — no copies, no refcounts.
     #[must_use]

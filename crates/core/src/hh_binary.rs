@@ -332,7 +332,7 @@ pub(crate) fn run_unchecked(
             let sa: WPositions = link.recv("hhb-candidates-a")?;
             let mut union: Vec<(u32, u32)> = sa.pos;
             for (r, c, val) in cb.into_entries() {
-                if val as f64 >= tau_cand && !union.contains(&(r, c)) {
+                if val as f64 >= tau_cand {
                     union.push((r, c));
                 }
             }

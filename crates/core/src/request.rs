@@ -341,59 +341,27 @@ impl Session {
         seed: Seed,
         exec: ExecBackend,
     ) -> Result<EstimateReport, CommError> {
-        self.estimate_with_exec(request, seed, Exec::Backend(exec))
+        estimate_on(Parties::Both(self), request, seed, Exec::Backend(exec))
     }
+}
 
+impl PartyView {
     /// Executes a dynamically dispatched request as **one party of a
-    /// remote pair**: this process runs `side` only, and every message
-    /// crosses the framed transport `io` to the peer process, which must
-    /// call the same method for the complementary side with the same
-    /// request and seed. The report is bit-identical to the in-process
-    /// executors' on **both** processes — transcripts are reconstructed
-    /// from frame headers, and the remote executor's post-protocol
-    /// output exchange ships each party's output to its peer (outputs
-    /// are `Wire` data; the exchange is billed to the transport's byte
+    /// remote pair**: this process holds only this view's half and runs
+    /// its role, and every message crosses the framed transport `io` to
+    /// the peer process, which must call the same method for the
+    /// complementary role with the same request and seed. The report is
+    /// bit-identical to an in-process [`Session`] run over the assembled
+    /// pair, on **both** processes — transcripts are reconstructed from
+    /// frame headers, and the remote executor's post-protocol output
+    /// exchange ships each party's output to its peer (outputs are
+    /// `Wire` data; the exchange is billed to the transport's byte
     /// counters, never to the logical transcript).
     ///
     /// # Errors
     ///
     /// Same contract as [`Session::run`], plus transport-level
     /// [`CommError::Frame`] errors.
-    pub fn estimate_remote(
-        &self,
-        request: &EstimateRequest,
-        seed: Seed,
-        side: Party,
-        io: &mut dyn FrameIo,
-    ) -> Result<EstimateReport, CommError> {
-        let rc = RemoteCtx::new(side, io);
-        self.estimate_with_exec(request, seed, Exec::Remote(&rc))
-    }
-
-    /// The one dispatch point behind [`Session::estimate_seeded_on`] and
-    /// [`Session::estimate_remote`].
-    fn estimate_with_exec<'r>(
-        &'r self,
-        request: &EstimateRequest,
-        seed: Seed,
-        exec: Exec<'r>,
-    ) -> Result<EstimateReport, CommError> {
-        estimate_on(Parties::Both(self), request, seed, exec)
-    }
-}
-
-impl PartyView {
-    /// Executes a dynamically dispatched request as this view's role
-    /// against a remote peer behind `io` — the storage-split counterpart
-    /// of [`Session::estimate_remote`]. This process holds only its own
-    /// half; the peer process must call the same method for the
-    /// complementary role with the same request and seed. Reports are
-    /// bit-identical to an in-process [`Session`] run over the assembled
-    /// pair, on **both** processes.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Session::estimate_remote`].
     pub fn estimate_remote(
         &self,
         request: &EstimateRequest,

@@ -34,7 +34,6 @@ use crate::protocol::Protocol;
 use crate::result::ProtocolRun;
 use crate::sketchcache::SketchCache;
 use crate::stream::{UpdateBatch, UpdateOp, UpdateSide};
-use mpest_comm::remote::{FrameIo, RemoteCtx};
 use mpest_comm::{CommError, Exec, ExecBackend, Role, Seed};
 use mpest_matrix::{BitMatrix, CsrMatrix, SparseVec};
 
@@ -267,26 +266,13 @@ impl Session {
         seed: Seed,
         exec: ExecBackend,
     ) -> Result<ProtocolRun<P::Output>, CommError> {
-        self.run_seeded_exec(protocol, params, seed, Exec::Backend(exec))
-    }
-
-    /// Runs `protocol` under an explicit seed and a fully general
-    /// executor handle — in-process backends *or* one party of a remote
-    /// pair ([`Exec::Remote`]). The request layer's
-    /// [`Session::estimate_remote`](crate::EstimateRequest) path is the
-    /// usual entry point for remote runs; this is the typed equivalent.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::run`].
-    pub fn run_seeded_exec<'r, P: Protocol>(
-        &'r self,
-        protocol: &P,
-        params: &P::Params,
-        seed: Seed,
-        exec: Exec<'r>,
-    ) -> Result<ProtocolRun<P::Output>, CommError> {
-        run_on(Parties::Both(self), protocol, params, seed, exec)
+        run_on(
+            Parties::Both(self),
+            protocol,
+            params,
+            seed,
+            Exec::Backend(exec),
+        )
     }
 
     // --- cached views ----------------------------------------------------
@@ -461,7 +447,8 @@ impl Session {
     /// the peer half ([`PeerInfo`] — dimensions and binariness, never
     /// entries). Two views split from the same session and driven over a
     /// transport reproduce the session's outputs and transcripts
-    /// bit-identically.
+    /// bit-identically. The view starts at the session's epoch, so it
+    /// passes the hello of a split peer that ingested the same rounds.
     #[must_use]
     pub fn party_view(&self, role: Role) -> PartyView {
         let (own, peer, peer_cache) = match role {
@@ -469,7 +456,9 @@ impl Session {
             Role::Bob => (&self.b, &self.a, &self.a_cache),
         };
         let peer = PeerInfo::new(peer.rows(), peer.cols(), half_is_binary(peer, peer_cache));
-        PartyView::new(role, SessionHalf(own.clone()), peer)
+        let mut view = PartyView::new(role, SessionHalf(own.clone()), peer);
+        view.epoch = self.epoch;
+        view
     }
 }
 
@@ -943,50 +932,6 @@ impl PartyView {
         self.epoch += 1;
         Ok(self.epoch)
     }
-
-    /// Runs `protocol` as this view's role against a remote peer behind
-    /// `io` — the storage-split counterpart of
-    /// [`Session::run_seeded`]. Outputs *and* transcripts are
-    /// bit-identical to an in-process run over the assembled pair.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces dimension mismatches, per-side validation errors (the
-    /// peer's own validation failures arrive as typed remote errors),
-    /// and transport failures.
-    pub fn run_remote<P: Protocol>(
-        &self,
-        protocol: &P,
-        params: &P::Params,
-        seed: Seed,
-        io: &mut dyn FrameIo,
-    ) -> Result<ProtocolRun<P::Output>, CommError> {
-        let rc = RemoteCtx::new(self.role, io);
-        run_on(
-            Parties::One(self),
-            protocol,
-            params,
-            seed,
-            Exec::Remote(&rc),
-        )
-    }
-
-    /// Runs `protocol` under an explicit executor handle. With
-    /// [`Exec::Remote`] this is [`PartyView::run_remote`]; an in-process
-    /// backend fails typed, since this process holds only one half.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PartyView::run_remote`].
-    pub fn run_seeded_exec<'r, P: Protocol>(
-        &'r self,
-        protocol: &P,
-        params: &P::Params,
-        seed: Seed,
-        exec: Exec<'r>,
-    ) -> Result<ProtocolRun<P::Output>, CommError> {
-        run_on(Parties::One(self), protocol, params, seed, exec)
-    }
 }
 
 /// Whose halves a [`SessionCtx`] can see: both (the local
@@ -999,8 +944,8 @@ pub(crate) enum Parties<'a> {
     One(&'a PartyView),
 }
 
-/// The one dispatch point behind [`Session::run_seeded_exec`] and
-/// [`PartyView::run_seeded_exec`]: validates dimensions, builds the
+/// The one dispatch point behind [`Session::run_seeded_on`] and
+/// [`PartyView::estimate_remote`]: validates dimensions, builds the
 /// per-query [`SessionCtx`], and hands it to the protocol.
 pub(crate) fn run_on<'r, P: Protocol>(
     parties: Parties<'r>,
@@ -1619,6 +1564,22 @@ mod tests {
         assert_views_match_fresh(&s);
         let ctx = s.ctx(Seed(0));
         assert!(ctx.bit_halves().is_ok());
+    }
+
+    #[test]
+    fn party_views_carry_the_session_epoch() {
+        use crate::stream::{UpdateBatch, UpdateSide};
+        let a = Workloads::bernoulli_bits(8, 12, 0.4, 7);
+        let b = Workloads::bernoulli_bits(12, 8, 0.4, 8);
+        let mut s = Session::new(a, b);
+        let batch = UpdateBatch::new()
+            .set_entry(UpdateSide::Alice, 0, 0, 1)
+            .delete_entry(UpdateSide::Bob, 5, 3);
+        s.apply_update(&batch).unwrap();
+        s.apply_update(&batch).unwrap();
+        for role in [Role::Alice, Role::Bob] {
+            assert_eq!(s.party_view(role).epoch(), s.epoch(), "{role}");
+        }
     }
 
     #[test]

@@ -24,15 +24,14 @@
 //!    byte-identical to those of the blocking [`FramedConn`] codec,
 //!    which performs the handshake and serves as the client codec.
 //! 3. **[`party`]** — remote two-party execution: a [`PartyHost`]
-//!    process plays one side of the pair and an initiator
-//!    ([`run_with_party`]) plays the other, with every protocol message
-//!    a framed socket write. Storage-split deployments
-//!    ([`PartyHost::spawn_split`] / [`run_with_party_view`]) hold only
-//!    a [`PartyView`](mpest_core::PartyView) — one matrix per process —
-//!    and cross-check a `party-hello` handshake (shape, representation,
-//!    fingerprint, per-side epoch) before any run. Outputs and
-//!    transcripts are bit-identical to the fused in-process executor
-//!    (`tests/remote_equivalence.rs` and
+//!    process ([`PartyHost::spawn_split`]) plays one side of the pair
+//!    and an initiator ([`run_with_party_view`]) plays the other, with
+//!    every protocol message a framed socket write. Each process holds
+//!    only a [`PartyView`](mpest_core::PartyView) — one matrix per
+//!    process — and the two cross-check a `party-hello` handshake
+//!    (shape, representation, fingerprint, per-side epoch) before any
+//!    run. Outputs and transcripts are bit-identical to the fused
+//!    in-process executor (`tests/remote_equivalence.rs` and
 //!    `tests/party_split_equivalence.rs` prove it for all 14
 //!    protocols).
 //! 4. **[`server`] / [`client`]** — the `mpest serve` daemon: a
@@ -91,8 +90,8 @@ pub use msg::{
 // need not depend on `mpest-obs` directly.
 pub use mpest_obs::{Registry, Snapshot, TraceFormat, Tracer};
 pub use party::{
-    party_info, run_with_party, run_with_party_view, run_with_party_view_with, run_with_party_with,
-    update_party, update_split_party, PartyHost, PARTY_RUN_TIMEOUT_MAX,
+    party_info, run_with_party_view, run_with_party_view_with, update_split_party, PartyHost,
+    PARTY_RUN_TIMEOUT_MAX,
 };
 pub use server::{
     serve_on, ServeConfig, Server, ServerState, DEFAULT_MAX_SESSIONS, DEFAULT_SPOOL_BUDGET,

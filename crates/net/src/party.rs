@@ -1,31 +1,26 @@
 //! Remote parties: running one side of a two-party protocol in its own
 //! process, with the peer across a TCP connection.
 //!
-//! A **party host** ([`PartyHost`]) listens on an address and plays one
-//! fixed side (Alice or Bob) of its session's pair. An **initiator**
-//! ([`run_with_party`]) connects, negotiates `(side, seed, request)`
-//! via a [`RunSpecMsg`], and then both processes execute the protocol
-//! through [`Session::estimate_remote`] — every message a real framed
-//! write on the socket. The remote executor's end-and-output exchange
-//! leaves *both* sides with the complete [`EstimateReport`] (transcript
+//! Each process holds a [`PartyView`] — its own matrix plus the peer's
+//! public [`PeerInfo`](mpest_core::PeerInfo) — and *cannot* reach the
+//! peer's entries even by accident. A process that holds both matrices
+//! plays a side through [`Session::party_view`](mpest_core::Session::party_view).
+//!
+//! A **party host** ([`PartyHost::spawn_split`]) listens on an address
+//! and plays its view's side. An **initiator** ([`run_with_party_view`])
+//! connects and opens with a mandatory bidirectional `party-hello`
+//! (shape, representation, fingerprint, per-side epoch), which replaces
+//! the full-pair validation a session would have done: dimension,
+//! binariness, or epoch divergence fails typed before a single protocol
+//! frame moves. The initiator then negotiates `(side, seed, request)`
+//! via a [`RunSpecMsg`], and both processes execute the protocol through
+//! [`PartyView::estimate_remote`] — every message a real framed write on
+//! the socket. The remote executor's end-and-output exchange leaves
+//! *both* sides with the complete [`EstimateReport`] (transcript
 //! reconstructed from frame headers, outputs shipped once the protocol
 //! succeeds), so the closing [`RunResultMsg`] exchange is a
 //! resynchronization barrier that also surfaces asymmetric failures
 //! (e.g. one side rejecting its inputs before any frame moved).
-//!
-//! Two data splits are supported. The legacy **role-wise** split
-//! ([`PartyHost::spawn`], [`run_with_party`]): each process holds the
-//! full session pair, but a party function only ever reads its own
-//! side's matrix, and every cross-party byte is paid on the wire. The
-//! **storage-wise** split ([`PartyHost::spawn_split`],
-//! [`run_with_party_view`]): each process holds a
-//! [`PartyView`] — its own matrix plus the peer's public
-//! [`PeerInfo`](mpest_core::PeerInfo) — and *cannot* reach the peer's
-//! entries even by accident. Storage-split connections open with a
-//! mandatory bidirectional `party-hello` (shape, representation,
-//! fingerprint, per-side epoch), which replaces the full-pair
-//! validation a [`Session`] would have done: dimension, binariness, or
-//! epoch divergence fails typed before a single protocol frame moves.
 
 use crate::codec::FramedConn;
 use crate::duplex::DuplexConn;
@@ -33,7 +28,7 @@ use crate::fingerprint::fingerprint;
 use crate::msg::{PartyInfoMsg, RunResultMsg, RunSpecMsg, ServiceMsg, UpdateMsg};
 use crate::reactor::{wait_ready, Readiness, StopSignal, POLLIN};
 use mpest_comm::{CommError, Party, Seed};
-use mpest_core::{EstimateReport, EstimateRequest, PartyView, Session, UpdateBatch};
+use mpest_core::{EstimateReport, EstimateRequest, PartyView, UpdateBatch};
 use mpest_obs::{Counter, Registry, Snapshot};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, RwLock};
@@ -74,39 +69,18 @@ pub const PARTY_IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// an unbounded socket read.
 pub const PARTY_RUN_TIMEOUT_MAX: Duration = Duration::from_secs(600);
 
-/// Runs `request` as `my_side` over an established connection whose peer
-/// runs the complementary side (the shared core of the initiator and the
-/// host). Returns the complete report, bit-identical to an in-process
-/// run under the same session pair and seed.
+/// Runs `request` as `view`'s side over an established connection whose
+/// peer runs the complementary side (the shared core of the initiator
+/// and the host), then closes with the [`RunResultMsg`] exchange.
+/// Returns the complete report, bit-identical to an in-process run over
+/// the assembled pair under the same seed.
 fn run_over_conn(
-    conn: &mut DuplexConn,
-    session: &Session,
-    my_side: Party,
-    request: &EstimateRequest,
-    seed: Seed,
-) -> Result<EstimateReport, CommError> {
-    let local = session.estimate_remote(request, seed, my_side, conn);
-    finish_run(conn, local)
-}
-
-/// The storage-split counterpart of [`run_over_conn`]: runs `request`
-/// through a [`PartyView`] (this process holds only its own half) over
-/// an established connection, with the same closing result exchange.
-fn run_view_over_conn(
     conn: &mut DuplexConn,
     view: &PartyView,
     request: &EstimateRequest,
     seed: Seed,
 ) -> Result<EstimateReport, CommError> {
     let local = view.estimate_remote(request, seed, conn);
-    finish_run(conn, local)
-}
-
-/// The closing [`RunResultMsg`] exchange both run paths share.
-fn finish_run(
-    conn: &mut DuplexConn,
-    local: Result<EstimateReport, CommError>,
-) -> Result<EstimateReport, CommError> {
     // A local failure is the primary diagnosis (the peer usually echoes
     // it), so the closing result exchange is best-effort in that case —
     // a dead connection must not replace the real error with a generic
@@ -143,60 +117,6 @@ fn finish_run(
         return Err(CommError::protocol(format!("remote party failed: {err}")));
     }
     local
-}
-
-/// Connects to a party host at `addr` and runs `request` with this
-/// process playing `my_side`; the host must be serving the
-/// complementary side over the same logical pair.
-///
-/// Returns the report plus `(bytes_out, bytes_in)` — the real socket
-/// cost of the run as seen from this end.
-///
-/// # Errors
-///
-/// Connection/handshake failures, side mismatches, and any protocol,
-/// validation or transport error of the run on either side.
-pub fn run_with_party(
-    addr: &str,
-    session: &Session,
-    my_side: Party,
-    request: &EstimateRequest,
-    seed: Seed,
-) -> Result<(EstimateReport, u64, u64), CommError> {
-    run_with_party_with(
-        addr,
-        session,
-        my_side,
-        request,
-        seed,
-        Some(PARTY_IO_TIMEOUT),
-    )
-}
-
-/// [`run_with_party`] with an explicit per-read/write deadline
-/// (`None` = no deadline — e.g. slow links or heavy per-round compute
-/// where the default [`PARTY_IO_TIMEOUT`] is too tight). The deadline
-/// is carried in the run-spec (rounded up to whole seconds), so the
-/// host applies the same one for the run instead of dropping a
-/// slow-but-healthy initiator at its default — clamped host-side at
-/// [`PARTY_RUN_TIMEOUT_MAX`].
-///
-/// # Errors
-///
-/// Same as [`run_with_party`].
-pub fn run_with_party_with(
-    addr: &str,
-    session: &Session,
-    my_side: Party,
-    request: &EstimateRequest,
-    seed: Seed,
-    io_timeout: Option<Duration>,
-) -> Result<(EstimateReport, u64, u64), CommError> {
-    let mut conn = DuplexConn::from_framed(FramedConn::connect(addr, io_timeout)?, io_timeout)?;
-    negotiate_spec(&mut conn, my_side, request, seed, io_timeout)?;
-    let report = run_over_conn(&mut conn, session, my_side, request, seed)?;
-    conn.drain()?;
-    Ok((report, conn.bytes_out(), conn.bytes_in()))
 }
 
 /// Sends the run-spec and waits for the host's ok/error verdict.
@@ -293,11 +213,11 @@ fn check_hello(view: &PartyView, hello: &PartyInfoMsg) -> Result<(), CommError> 
     Ok(())
 }
 
-/// Connects to a **storage-split** party host at `addr` and runs
-/// `request`, this process holding only `view`'s half. Opens with the
-/// bidirectional `party-hello` handshake; both sides cross-check before
-/// the run is negotiated. Returns the report plus `(bytes_out,
-/// bytes_in)`.
+/// Connects to the party host at `addr` and runs `request`, this
+/// process holding only `view`'s half. Opens with the bidirectional
+/// `party-hello` handshake; both sides cross-check before the run is
+/// negotiated. Returns the report plus `(bytes_out, bytes_in)` — the
+/// real socket cost of the run as seen from this end.
 ///
 /// # Errors
 ///
@@ -312,10 +232,18 @@ pub fn run_with_party_view(
     run_with_party_view_with(addr, view, request, seed, Some(PARTY_IO_TIMEOUT), None)
 }
 
-/// [`run_with_party_view`] with an explicit per-read/write deadline
-/// (same semantics as [`run_with_party_with`]) and an optional content
-/// pin: when `pin_peer_fp` is `Some`, the host's announced fingerprint
-/// must match it exactly — shape and binariness checks catch structural
+/// [`run_with_party_view`] with an explicit per-read/write deadline and
+/// an optional content pin.
+///
+/// `io_timeout` of `None` means no deadline — e.g. slow links or heavy
+/// per-round compute where the default [`PARTY_IO_TIMEOUT`] is too
+/// tight. The deadline is carried in the run-spec (rounded up to whole
+/// seconds), so the host applies the same one for the run instead of
+/// dropping a slow-but-healthy initiator at its default — clamped
+/// host-side at [`PARTY_RUN_TIMEOUT_MAX`].
+///
+/// When `pin_peer_fp` is `Some`, the host's announced fingerprint must
+/// match it exactly — shape and binariness checks catch structural
 /// divergence, the pin catches a peer whose half has the right shape
 /// but the wrong entries.
 ///
@@ -359,34 +287,17 @@ pub fn run_with_party_view_with(
         }
     }
     negotiate_spec(&mut conn, view.role(), request, seed, io_timeout)?;
-    let report = run_view_over_conn(&mut conn, view, request, seed)?;
+    let report = run_over_conn(&mut conn, view, request, seed)?;
     conn.drain()?;
     Ok((report, conn.bytes_out(), conn.bytes_in()))
 }
 
-/// How a party host stores its session: the legacy shared (immutable)
-/// form, or the updatable form whose session can mutate between runs.
-#[derive(Clone)]
-enum PartySession {
-    /// An externally shared, immutable session — updates are rejected
-    /// with a typed error (the owner may hold other references).
-    Shared(Arc<Session>),
-    /// A host-owned session behind a lock: runs take the read side,
-    /// updates the write side.
-    Owned(Arc<RwLock<Session>>),
-    /// A storage-split host: only this party's half, behind a lock so
-    /// per-side updates can land between runs. Connections must open
-    /// with `party-hello` before any run is accepted.
-    Split(Arc<RwLock<PartyView>>),
-}
-
-/// A listening party host: accepts connections and plays `side` of its
-/// session for every [`RunSpecMsg`] an initiator sends (several runs may
-/// share one connection). A host spawned with
-/// [`PartyHost::spawn_updatable`] also accepts `update` messages between
-/// runs, mutating its half-pair in place (epoch-checked, fingerprint
-/// addressed) so long-lived monitoring deployments never restart to
-/// ingest new data.
+/// A listening party host: accepts connections and plays its view's
+/// side for every [`RunSpecMsg`] an initiator sends (several runs may
+/// share one connection). Between runs it also accepts per-side
+/// [`UpdateBatch`]es (see [`update_split_party`]), mutating its half in
+/// place so long-lived monitoring deployments never restart to ingest
+/// new data.
 pub struct PartyHost {
     addr: SocketAddr,
     stop: StopSignal,
@@ -395,65 +306,35 @@ pub struct PartyHost {
 }
 
 impl PartyHost {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and serves in background
-    /// threads — one accept loop, one thread per connection. The shared
-    /// session is immutable: this host answers `update` messages with a
-    /// typed error (use [`PartyHost::spawn_updatable`] for live data).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from binding.
-    pub fn spawn(addr: &str, session: Arc<Session>, side: Party) -> std::io::Result<Self> {
-        Self::spawn_inner(addr, PartySession::Shared(session), side)
-    }
-
-    /// Binds `addr` owning `session` outright, so remote peers may push
-    /// [`UpdateBatch`]es between runs (see [`update_party`]). Runs and
-    /// updates are serialized through a reader-writer lock: a run
-    /// in flight blocks updates, never the reverse mid-protocol.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from binding.
-    pub fn spawn_updatable(addr: &str, session: Session, side: Party) -> std::io::Result<Self> {
-        Self::spawn_inner(
-            addr,
-            PartySession::Owned(Arc::new(RwLock::new(session))),
-            side,
-        )
-    }
-
-    /// Binds `addr` holding only **one half**: `view`'s own matrix plus
-    /// the peer's public metadata — the storage-split deployment where
-    /// a party process never sees the other matrix. The served side is
-    /// `view.role()`. Every connection must open with a `party-hello`
-    /// handshake (cross-checked both ways) before runs are accepted,
-    /// and per-side [`UpdateBatch`]es may land between runs (see
-    /// [`update_split_party`]).
+    /// Binds `addr` (e.g. `"127.0.0.1:0"`) holding only **one half**:
+    /// `view`'s own matrix plus the peer's public metadata — a party
+    /// process never sees the other matrix. The served side is
+    /// `view.role()`. Serves in background threads — one accept loop,
+    /// one thread per connection. Every connection must open with a
+    /// `party-hello` handshake (cross-checked both ways) before runs
+    /// are accepted. Runs and updates are serialized through a
+    /// reader-writer lock: a run in flight blocks updates, never the
+    /// reverse mid-protocol.
     ///
     /// # Errors
     ///
     /// I/O errors from binding.
     pub fn spawn_split(addr: &str, view: PartyView) -> std::io::Result<Self> {
-        let side = view.role();
-        Self::spawn_inner(addr, PartySession::Split(Arc::new(RwLock::new(view))), side)
-    }
-
-    fn spawn_inner(addr: &str, session: PartySession, side: Party) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = StopSignal::new()?;
         let stop_accept = stop.clone();
         let registry = Registry::new();
         let metrics = PartyMetrics::new(&registry);
+        let lock = Arc::new(RwLock::new(view));
         let join = std::thread::spawn(move || {
             let stop_conn = stop_accept.clone();
             accept_loop(&listener, &stop_accept, move |stream| {
-                let session = session.clone();
+                let lock = Arc::clone(&lock);
                 let stop = stop_conn.clone();
                 let metrics = metrics.clone();
                 std::thread::spawn(move || {
-                    let _ = serve_party_conn(stream, &session, side, &stop, &metrics);
+                    let _ = serve_party_conn(stream, &lock, &stop, &metrics);
                 });
             });
         });
@@ -524,12 +405,11 @@ fn accept_loop(listener: &TcpListener, stop: &StopSignal, handle: impl Fn(TcpStr
     }
 }
 
-/// Serves one initiator connection: a sequence of run-specs (and, for
-/// updatable hosts, update batches).
+/// Serves one initiator connection: a `party-hello`, then a sequence of
+/// run-specs and update batches.
 fn serve_party_conn(
     stream: TcpStream,
-    session: &PartySession,
-    side: Party,
+    lock: &RwLock<PartyView>,
     stop: &StopSignal,
     metrics: &PartyMetrics,
 ) -> Result<(), CommError> {
@@ -540,7 +420,7 @@ fn serve_party_conn(
         .and_then(|()| stream.set_write_timeout(Some(PARTY_IO_TIMEOUT)))
         .map_err(|e| CommError::frame("accept", format!("socket options failed: {e}")))?;
     let conn = DuplexConn::from_framed(FramedConn::accept(stream)?, Some(PARTY_IO_TIMEOUT))?;
-    serve_party_loop(conn, session, side, stop, metrics)
+    serve_party_loop(conn, lock, stop, metrics)
 }
 
 /// The per-connection serve loop. Parks in a zero-wakeup readiness wait
@@ -549,15 +429,14 @@ fn serve_party_conn(
 /// in-flight deadline.
 fn serve_party_loop(
     mut conn: DuplexConn,
-    session: &PartySession,
-    side: Party,
+    lock: &RwLock<PartyView>,
     stop: &StopSignal,
     metrics: &PartyMetrics,
 ) -> Result<(), CommError> {
-    // Storage-split hosts demand the handshake before any run: the
-    // hello's cross-check is what replaces the full-pair validation a
-    // Session would have done locally.
-    let mut greeted = !matches!(session, PartySession::Split(_));
+    // The handshake comes before any run: the hello's cross-check is
+    // what replaces the full-pair validation a session would have done
+    // locally.
+    let mut greeted = false;
     loop {
         // Message boundary: flush replies before parking, so a parked
         // connection has no pending writes and read-readiness alone is
@@ -581,18 +460,10 @@ fn serve_party_loop(
             ServiceMsg::RunSpec(spec) => spec,
             ServiceMsg::Update(update) => {
                 metrics.updates.inc();
-                conn.send_msg(&handle_party_update(session, &update))?;
+                conn.send_msg(&handle_party_update(lock, &update))?;
                 continue;
             }
             ServiceMsg::PartyHello(hello) => {
-                let PartySession::Split(lock) = session else {
-                    conn.send_msg(&ServiceMsg::Error(
-                        "this host holds the full session pair; party-hello \
-                         is for storage-split hosts (spawn_split)"
-                            .to_string(),
-                    ))?;
-                    continue;
-                };
                 let view = lock.read().expect("party view");
                 match check_hello(&view, &hello) {
                     Ok(()) => {
@@ -619,6 +490,11 @@ fn serve_party_loop(
             ))?;
             continue;
         }
+        // Hold the read side for the whole run: an update landing on
+        // another connection waits instead of mutating the half under a
+        // live protocol.
+        let view = lock.read().expect("party view");
+        let side = view.role();
         if spec.initiator_side == side {
             conn.send_msg(&ServiceMsg::Error(format!(
                 "initiator claims side {side}, but this host already plays it"
@@ -637,22 +513,7 @@ fn serve_party_loop(
         conn.set_io_timeout(Some(run_timeout));
         // Errors are shipped to the initiator inside run_over_conn's
         // result exchange; a transport error tears the connection down.
-        let outcome = match session {
-            PartySession::Shared(s) => {
-                run_over_conn(&mut conn, s, side, &spec.request, Seed(spec.seed))
-            }
-            PartySession::Owned(lock) => {
-                // Hold the read side for the whole run: an update landing
-                // on another connection waits instead of mutating the
-                // pair under a live protocol.
-                let s = lock.read().expect("party session");
-                run_over_conn(&mut conn, &s, side, &spec.request, Seed(spec.seed))
-            }
-            PartySession::Split(lock) => {
-                let view = lock.read().expect("party view");
-                run_view_over_conn(&mut conn, &view, &spec.request, Seed(spec.seed))
-            }
-        };
+        let outcome = run_over_conn(&mut conn, &view, &spec.request, Seed(spec.seed));
         conn.set_io_timeout(Some(PARTY_IO_TIMEOUT));
         match outcome {
             Ok(report) => {
@@ -669,153 +530,61 @@ fn serve_party_loop(
     }
 }
 
-/// Applies an update batch to an updatable host's session (fingerprint
-/// addressed, epoch checked); shared hosts reject with a typed error.
-/// Storage-split hosts validate **per-side**: only the fingerprint slot
-/// for the half this host actually holds is checked (a nonzero value
-/// pins content, zero skips), the ack reports zero for the unknown peer
-/// slot, and a batch touching the peer's side fails typed inside
-/// [`PartyView::apply_update`]. A nonzero peer slot is refused before
-/// anything mutates: only a full-pair mirror ([`update_party`]) sets it,
+/// Applies an update batch to the host's half, validated **per-side**:
+/// only the fingerprint slot for the half this host holds is checked (a
+/// nonzero value pins content, zero skips), the ack reports zero for
+/// the unknown peer slot, and a batch touching the peer's side fails
+/// typed inside [`PartyView::apply_update`]. A nonzero peer slot is
+/// refused before anything mutates: only a full-pair mirror sets it,
 /// and that mirror would apply the batch as a new epoch of *both*
 /// halves, leaving the pair out of lockstep with this host.
-fn handle_party_update(session: &PartySession, update: &UpdateMsg) -> ServiceMsg {
-    let lock = match session {
-        PartySession::Shared(_) => {
-            return ServiceMsg::Error(
-                "this host serves a shared immutable session and cannot accept updates; \
-                 spawn it with an owned (updatable) session to ingest live data"
-                    .to_string(),
-            )
-        }
-        PartySession::Owned(lock) => lock,
-        PartySession::Split(lock) => {
-            let mut view = lock.write().expect("party view");
-            let own_fp = fingerprint(view.own_csr());
-            let epoch = view.epoch();
-            let side = view.role();
-            let slots = |fp: u64, epoch: u64| match side {
-                Party::Alice => (fp, 0, epoch),
-                Party::Bob => (0, fp, epoch),
-            };
-            let (expect_fp, peer_fp) = match side {
-                Party::Alice => (update.fp_a, update.fp_b),
-                Party::Bob => (update.fp_b, update.fp_a),
-            };
-            if peer_fp != 0 {
-                return ServiceMsg::Error(format!(
-                    "this storage-split host holds only the {side} half, but the update \
-                     pins the {} half too, as a full-pair mirror does; push each side's \
-                     ops to the party holding that half with update_split_party",
-                    side.peer()
-                ));
-            }
-            if (expect_fp != 0 && expect_fp != own_fp) || update.expect_epoch != epoch {
-                let (fp_a, fp_b, epoch) = slots(own_fp, epoch);
-                return ServiceMsg::StaleEpoch { fp_a, fp_b, epoch };
-            }
-            return match view.apply_update(&update.batch) {
-                Ok(new_epoch) => {
-                    let (fp_a, fp_b, epoch) = slots(fingerprint(view.own_csr()), new_epoch);
-                    ServiceMsg::UpdateAck { fp_a, fp_b, epoch }
-                }
-                Err(e) => ServiceMsg::Error(e.to_string()),
-            };
-        }
+fn handle_party_update(lock: &RwLock<PartyView>, update: &UpdateMsg) -> ServiceMsg {
+    let mut view = lock.write().expect("party view");
+    let own_fp = fingerprint(view.own_csr());
+    let epoch = view.epoch();
+    let side = view.role();
+    let slots = |fp: u64, epoch: u64| match side {
+        Party::Alice => (fp, 0, epoch),
+        Party::Bob => (0, fp, epoch),
     };
-    let mut s = lock.write().expect("party session");
-    let (current, epoch) = match s.csr_halves() {
-        Ok((a, b)) => ((fingerprint(a), fingerprint(b)), s.epoch()),
-        Err(e) => return ServiceMsg::Error(e.to_string()),
+    let (expect_fp, peer_fp) = match side {
+        Party::Alice => (update.fp_a, update.fp_b),
+        Party::Bob => (update.fp_b, update.fp_a),
     };
-    if (update.fp_a, update.fp_b) != current || update.expect_epoch != epoch {
-        // The initiator's mirror is behind (or addresses another pair
-        // entirely): tell it where this host actually is.
-        return ServiceMsg::StaleEpoch {
-            fp_a: current.0,
-            fp_b: current.1,
-            epoch,
-        };
+    if peer_fp != 0 {
+        return ServiceMsg::Error(format!(
+            "this storage-split host holds only the {side} half, but the update \
+             pins the {} half too, as a full-pair mirror does; push each side's \
+             ops to the party holding that half with update_split_party",
+            side.peer()
+        ));
     }
-    match s.apply_update(&update.batch) {
-        Ok(new_epoch) => match s.csr_halves() {
-            Ok((a, b)) => ServiceMsg::UpdateAck {
-                fp_a: fingerprint(a),
-                fp_b: fingerprint(b),
-                epoch: new_epoch,
-            },
-            Err(e) => ServiceMsg::Error(e.to_string()),
-        },
+    if (expect_fp != 0 && expect_fp != own_fp) || update.expect_epoch != epoch {
+        let (fp_a, fp_b, epoch) = slots(own_fp, epoch);
+        return ServiceMsg::StaleEpoch { fp_a, fp_b, epoch };
+    }
+    match view.apply_update(&update.batch) {
+        Ok(new_epoch) => {
+            let (fp_a, fp_b, epoch) = slots(fingerprint(view.own_csr()), new_epoch);
+            ServiceMsg::UpdateAck { fp_a, fp_b, epoch }
+        }
         Err(e) => ServiceMsg::Error(e.to_string()),
     }
 }
 
-/// Pushes `batch` to the updatable party host at `addr` and, once the
-/// host acknowledges, applies the same batch to `local` so the mirror
-/// stays bit-identical — the ack's fingerprints are cross-checked
-/// against the mutated mirror's, so silent divergence is impossible.
-/// Returns the shared new epoch.
-///
-/// # Errors
-///
-/// Transport errors; a typed stale-epoch rejection when the host has
-/// moved past `local`'s epoch; the host's typed refusal if it serves a
-/// shared immutable session or holds only one half (storage-split hosts
-/// take [`update_split_party`]); or a protocol error if the mirror's
-/// post-update fingerprints disagree with the host's.
-pub fn update_party(
-    addr: &str,
-    local: &mut Session,
-    batch: &UpdateBatch,
-    io_timeout: Option<Duration>,
-) -> Result<u64, CommError> {
-    let (fp_a, fp_b) = {
-        let (a, b) = local.csr_halves()?;
-        (fingerprint(a), fingerprint(b))
-    };
-    let mut conn = FramedConn::connect(addr, io_timeout)?;
-    conn.send_msg(&ServiceMsg::Update(UpdateMsg {
-        fp_a,
-        fp_b,
-        expect_epoch: local.epoch(),
-        batch: batch.clone(),
-    }))?;
-    match conn.recv_msg_required()? {
-        ServiceMsg::UpdateAck { fp_a, fp_b, epoch } => {
-            let local_epoch = local.apply_update(batch)?;
-            let (a, b) = local.csr_halves()?;
-            let (la, lb) = (fingerprint(a), fingerprint(b));
-            if (la, lb) != (fp_a, fp_b) || local_epoch != epoch {
-                return Err(CommError::protocol(format!(
-                    "local mirror diverged from the party host after the update: \
-                     mirror is ({la:#x}, {lb:#x})@{local_epoch}, \
-                     host is ({fp_a:#x}, {fp_b:#x})@{epoch}"
-                )));
-            }
-            Ok(epoch)
-        }
-        ServiceMsg::StaleEpoch { fp_a, fp_b, epoch } => Err(CommError::protocol(format!(
-            "stale epoch: the party host's session is now ({fp_a:#x}, {fp_b:#x}) at epoch {epoch}"
-        ))),
-        ServiceMsg::Error(msg) => Err(CommError::protocol(format!("party error: {msg}"))),
-        other => Err(CommError::frame(other.name(), "unexpected reply to update")),
-    }
-}
-
-/// Pushes `batch` to the **storage-split** party host playing
-/// `host_side` at `addr`. The pusher does not hold the host's matrix,
-/// so addressing is per-side: `expect_fp` pins the host half's content
-/// (zero skips the pin), `expect_epoch` must match the host's per-side
-/// epoch, and the batch must only touch `host_side` (ops for the other
-/// side fail typed on the host). Returns the host half's post-update
-/// `(fingerprint, epoch)` so the caller can keep its own view's epoch
-/// in lockstep (see [`PartyView::apply_update`]) and pin future runs.
+/// Pushes `batch` to the party host playing `host_side` at `addr`. The
+/// pusher does not hold the host's matrix, so addressing is per-side:
+/// `expect_fp` pins the host half's content (zero skips the pin),
+/// `expect_epoch` must match the host's per-side epoch, and the batch
+/// must only touch `host_side` (ops for the other side fail typed on
+/// the host). Returns the host half's post-update `(fingerprint,
+/// epoch)` so the caller can keep its own view's epoch in lockstep (see
+/// [`PartyView::apply_update`]) and pin future runs.
 ///
 /// # Errors
 ///
 /// Transport errors; a typed stale-epoch rejection when pin or epoch
-/// disagree; the host's typed refusal for foreign-side ops or a
-/// non-updatable deployment.
+/// disagree; the host's typed refusal for foreign-side ops.
 pub fn update_split_party(
     addr: &str,
     host_side: Party,
@@ -861,6 +630,7 @@ pub fn update_split_party(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpest_core::Session;
     use mpest_matrix::Workloads;
 
     fn session() -> Session {
@@ -869,104 +639,14 @@ mod tests {
         Session::builder(a, b).seed(Seed(5)).build()
     }
 
-    #[test]
-    fn loopback_run_matches_local_for_both_initiator_sides() {
-        let host_session = Arc::new(session());
-        let local_session = session();
-        for (host_side, my_side) in [(Party::Bob, Party::Alice), (Party::Alice, Party::Bob)] {
-            let host =
-                PartyHost::spawn("127.0.0.1:0", Arc::clone(&host_session), host_side).unwrap();
-            let addr = host.addr().to_string();
-            let request = EstimateRequest::ExactL1;
-            let local = local_session.estimate_seeded(&request, Seed(9)).unwrap();
-            let (remote, out, inn) =
-                run_with_party(&addr, &local_session, my_side, &request, Seed(9)).unwrap();
-            assert_eq!(remote, local, "initiator playing {my_side}");
-            // Real bytes always dominate the logical bits this side sent.
-            assert!(out > 0 && inn > 0);
-            host.shutdown();
-        }
-    }
-
-    #[test]
-    fn asymmetric_pre_protocol_failure_surfaces_the_peers_error() {
-        use mpest_matrix::CsrMatrix;
-        // The host's copy of the pair fails linf-binary validation
-        // (non-binary values) before its executor moves a single frame;
-        // the initiator's copy is fine. The initiator must receive the
-        // host's real validation error, not a generic frame error.
-        let bad = Session::new(
-            CsrMatrix::from_triplets(12, 16, vec![(0, 1, 5)]),
-            CsrMatrix::from_triplets(16, 12, vec![(2, 3, 7)]),
-        );
-        let host = PartyHost::spawn("127.0.0.1:0", Arc::new(bad), Party::Bob).unwrap();
-        let err = run_with_party(
-            &host.addr().to_string(),
-            &session(),
-            Party::Alice,
-            &EstimateRequest::LinfBinary { eps: 0.3 },
-            Seed(4),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("remote party failed"), "got {err}");
-        host.shutdown();
-    }
-
-    #[test]
-    fn updatable_host_ingests_updates_between_runs() {
-        use mpest_core::{UpdateBatch, UpdateSide};
-        let host = PartyHost::spawn_updatable("127.0.0.1:0", session(), Party::Bob).unwrap();
-        let addr = host.addr().to_string();
-        let mut mirror = session();
-        let request = EstimateRequest::ExactL1;
-        let (before, _, _) =
-            run_with_party(&addr, &mirror, Party::Alice, &request, Seed(9)).unwrap();
-
-        let batch = UpdateBatch::new()
-            .set_entry(UpdateSide::Alice, 0, 0, 1)
-            .delete_entry(UpdateSide::Bob, 1, 1);
-        let epoch = update_party(&addr, &mut mirror, &batch, Some(PARTY_IO_TIMEOUT)).unwrap();
-        assert_eq!(epoch, 1);
-        assert_eq!(mirror.epoch(), 1);
-
-        // The next run answers over the mutated pair, bit-identical to a
-        // local run on the synced mirror.
-        let local = mirror.estimate_seeded(&request, Seed(9)).unwrap();
-        let (after, _, _) =
-            run_with_party(&addr, &mirror, Party::Alice, &request, Seed(9)).unwrap();
-        assert_eq!(after, local);
-        assert_ne!(after.output, before.output, "the update changed ||AB||_1");
-
-        // A second push from a stale mirror (wrong epoch) is rejected.
-        let mut stale = session();
-        let err = update_party(&addr, &mut stale, &batch, Some(PARTY_IO_TIMEOUT)).unwrap_err();
-        assert!(err.to_string().contains("stale epoch"), "got {err}");
-        host.shutdown();
-    }
-
-    #[test]
-    fn shared_host_rejects_updates_with_a_typed_error() {
-        use mpest_core::{UpdateBatch, UpdateSide};
-        let host = PartyHost::spawn("127.0.0.1:0", Arc::new(session()), Party::Bob).unwrap();
-        let mut mirror = session();
-        let batch = UpdateBatch::new().set_entry(UpdateSide::Alice, 0, 0, 1);
-        let err = update_party(
-            &host.addr().to_string(),
-            &mut mirror,
-            &batch,
+    /// A connection to `addr` that speaks raw service messages, skipping
+    /// whatever steps of the initiator's script a test leaves out.
+    fn raw_conn(addr: &str) -> DuplexConn {
+        DuplexConn::from_framed(
+            FramedConn::connect(addr, Some(PARTY_IO_TIMEOUT)).unwrap(),
             Some(PARTY_IO_TIMEOUT),
         )
-        .unwrap_err();
-        assert!(
-            err.to_string().contains("cannot accept updates"),
-            "got {err}"
-        );
-        assert_eq!(
-            mirror.epoch(),
-            0,
-            "rejected update must not touch the mirror"
-        );
-        host.shutdown();
+        .unwrap()
     }
 
     #[test]
@@ -1059,14 +739,15 @@ mod tests {
         use mpest_comm::Role;
         let reference = session();
         let host = PartyHost::spawn_split("127.0.0.1:0", reference.party_view(Role::Bob)).unwrap();
-        // The legacy initiator never sends a hello; the split host must
-        // refuse the run instead of silently skipping the cross-check.
-        let err = run_with_party(
-            &host.addr().to_string(),
-            &reference,
+        // An initiator that skips the hello: the host must refuse the
+        // run instead of silently skipping the cross-check.
+        let mut conn = raw_conn(&host.addr().to_string());
+        let err = negotiate_spec(
+            &mut conn,
             Party::Alice,
             &EstimateRequest::ExactL1,
             Seed(2),
+            Some(PARTY_IO_TIMEOUT),
         )
         .unwrap_err();
         assert!(err.to_string().contains("party-hello"), "got {err}");
@@ -1124,22 +805,32 @@ mod tests {
     fn split_host_refuses_full_pair_mirror_updates() {
         use mpest_comm::Role;
         use mpest_core::UpdateSide;
-        let mut mirror = session();
+        let mirror = session();
         let host = PartyHost::spawn_split("127.0.0.1:0", mirror.party_view(Role::Bob)).unwrap();
         let addr = host.addr().to_string();
-        // Only the host's own half is touched, yet the full-pair mirror
-        // would step both halves to epoch 1: the host must refuse it.
-        let batch = UpdateBatch::new().delete_entry(UpdateSide::Bob, 1, 1);
-        let err = update_party(&addr, &mut mirror, &batch, Some(PARTY_IO_TIMEOUT)).unwrap_err();
-        assert!(err.to_string().contains("update_split_party"), "got {err}");
-        assert_eq!(
-            mirror.epoch(),
-            0,
-            "refused update must not touch the mirror"
-        );
+        // Only the host's own half is touched, yet an update that pins
+        // both halves, as a full-pair mirror sends it, would step both
+        // halves to epoch 1: the host must refuse it.
+        let (fp_a, fp_b) = {
+            let (a, b) = mirror.csr_halves().unwrap();
+            (fingerprint(a), fingerprint(b))
+        };
+        let mut conn = raw_conn(&addr);
+        conn.send_msg(&ServiceMsg::Update(UpdateMsg {
+            fp_a,
+            fp_b,
+            expect_epoch: 0,
+            batch: UpdateBatch::new().delete_entry(UpdateSide::Bob, 1, 1),
+        }))
+        .unwrap();
+        let reply = conn.recv_msg_required().unwrap();
+        let ServiceMsg::Error(err) = reply else {
+            panic!("expected a refusal, got {}", reply.name());
+        };
+        assert!(err.contains("update_split_party"), "got {err}");
 
-        // The host stayed at epoch 0 too: a fresh split initiator passes
-        // the hello and answers bit-identically to the unchanged pair.
+        // The host stayed at epoch 0: a fresh split initiator passes the
+        // hello and answers bit-identically to the unchanged pair.
         let request = EstimateRequest::ExactL1;
         let alice = mirror.party_view(Role::Alice);
         let (got, _, _) = run_with_party_view(&addr, &alice, &request, Seed(9)).unwrap();
@@ -1149,13 +840,30 @@ mod tests {
 
     #[test]
     fn side_collision_is_rejected() {
-        let host = PartyHost::spawn("127.0.0.1:0", Arc::new(session()), Party::Bob).unwrap();
-        let err = run_with_party(
-            &host.addr().to_string(),
-            &session(),
+        let reference = session();
+        let host = PartyHost::spawn_split("127.0.0.1:0", reference.party_view(Party::Bob)).unwrap();
+        let addr = host.addr().to_string();
+        let bob = reference.party_view(Party::Bob);
+        let err = run_with_party_view(&addr, &bob, &EstimateRequest::ExactL1, Seed(1)).unwrap_err();
+        assert!(err.to_string().contains("side collision"), "got {err}");
+
+        // A peer that passes the hello as Alice and then claims Bob's
+        // side in its run-spec is refused too.
+        let mut conn = raw_conn(&addr);
+        conn.send_msg(&ServiceMsg::PartyHello(party_info(
+            &reference.party_view(Party::Alice),
+        )))
+        .unwrap();
+        assert!(matches!(
+            conn.recv_msg_required().unwrap(),
+            ServiceMsg::PartyHello(_)
+        ));
+        let err = negotiate_spec(
+            &mut conn,
             Party::Bob,
             &EstimateRequest::ExactL1,
             Seed(1),
+            Some(PARTY_IO_TIMEOUT),
         )
         .unwrap_err();
         assert!(err.to_string().contains("already plays"), "got {err}");

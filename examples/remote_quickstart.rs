@@ -11,9 +11,8 @@
 //! spawns them as threads on loopback ports so it is self-contained,
 //! but every protocol byte still crosses a genuine TCP socket.
 
-use mpest::net::{run_with_party, PartyHost, ServeClient, Server};
+use mpest::net::{run_with_party_view, PartyHost, ServeClient, Server};
 use mpest::prelude::*;
-use std::sync::Arc;
 
 fn main() {
     // Two relations: rows of A are Alice's sets, columns of B are Bob's.
@@ -35,19 +34,15 @@ fn main() {
         local.rounds()
     );
 
-    // 2. Remote party: Bob lives behind a TCP socket; every protocol
-    //    message is a framed wire write. Output and transcript are
-    //    bit-identical to the in-process run.
-    let host = PartyHost::spawn(
-        "127.0.0.1:0",
-        Arc::new(Session::builder(a.clone(), b.clone()).seed(Seed(7)).build()),
-        Party::Bob,
-    )
-    .expect("bind party host");
-    let (remote, bytes_out, bytes_in) = run_with_party(
+    // 2. Remote party: Bob lives behind a TCP socket and each side holds
+    //    only its own half; every protocol message is a framed wire
+    //    write. Output and transcript are bit-identical to the
+    //    in-process run.
+    let host = PartyHost::spawn_split("127.0.0.1:0", session.party_view(Party::Bob))
+        .expect("bind party host");
+    let (remote, bytes_out, bytes_in) = run_with_party_view(
         &host.addr().to_string(),
-        &session,
-        Party::Alice,
+        &session.party_view(Party::Alice),
         &request,
         seed,
     )

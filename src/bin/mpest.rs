@@ -46,18 +46,15 @@ const USAGE: &str = "usage:
   mpest stats --connect ADDR [--format text|json]
   mpest shutdown --connect ADDR
   mpest party --listen ADDR [--side alice|bob]
-            (--a FILE --b FILE [--updatable]
-             | --matrix FILE --peer-rows N --peer-cols N [--peer-binary])
+            (--a FILE --b FILE | --matrix FILE --peer-rows N --peer-cols N [--peer-binary])
   mpest query PROTOCOL (--connect ADDR | --party ADDR)
             (--a FILE --b FILE
-             | --matrix FILE --peer-rows N --peer-cols N [--peer-binary]
-               [--peer-fp FP] (--party only))
-            [options] [--side alice|bob] [--format text|json]
+             | --matrix FILE --peer-rows N --peer-cols N [--peer-binary] (--party only))
+            [--peer-fp FP (--party only)] [options] [--side alice|bob] [--format text|json]
             [--at-epoch N (--connect only)]
             [--io-timeout SECS] [--reply-timeout SECS (--connect only)]
-  mpest update (--connect ADDR | --party ADDR) --a FILE --b FILE --ops FILE.jsonl
-            [--out-a FILE] [--out-b FILE] [--io-timeout SECS]
-            [--reply-timeout SECS (--connect only)]
+  mpest update --connect ADDR --a FILE --b FILE --ops FILE.jsonl
+            [--out-a FILE] [--out-b FILE] [--io-timeout SECS] [--reply-timeout SECS]
 
 verify runs the Monte-Carlo statistical-guarantee sweep: every protocol
 (or just --protocol NAME) over generated dense/sparse/power-law/skewed/
@@ -88,10 +85,11 @@ one side (default bob) of a remote two-party run; query --party plays
 the other side so every protocol message crosses the socket, matching
 the initiator's --io-timeout for the run (host-clamped at 600s).
 
-party/query --matrix is the storage-split form: each process loads ONLY
-its own half; the peer is known by shape and representation alone
-(--peer-rows/--peer-cols/--peer-binary). The connection opens with a
-bidirectional party-hello handshake — shape, binariness, content
+party and query --party are storage-split: each process holds ONE half.
+--matrix loads only that half, and the peer is known by shape and
+representation alone (--peer-rows/--peer-cols/--peer-binary); --a/--b
+loads both files and keeps only this side's half. The connection opens
+with a bidirectional party-hello handshake — shape, binariness, content
 fingerprint, and per-side epoch are cross-checked both ways, and any
 divergence fails typed before a protocol frame moves. query --peer-fp
 additionally pins the host half's content fingerprint (as printed in a
@@ -107,13 +105,15 @@ to a session snapshot: the batch refuses to run if the loaded pair's
 epoch (0 for freshly loaded files) differs from any pinned epoch.
 
 update pushes a live mutation batch into the session a daemon caches
-for the pair (--connect), or into the half a `mpest party` host serves
-(--party, the host must be started with --updatable). The local files
-are the mirror: their fingerprints and epoch name the remote session,
-the ops apply locally after the remote acknowledges, and the mutated
-pair is written to --out-a/--out-b (defaulting to overwriting --a/--b)
-so the next query or update starts from the synced snapshot. The ops
-file is one JSON object per line:
+for the pair. The local files are the mirror: their fingerprints and
+epoch name the remote session, the ops apply locally after the daemon
+acknowledges, and the mutated pair is written to --out-a/--out-b
+(defaulting to overwriting --a/--b) so the next query starts from the
+synced snapshot. Files carry no epoch, so a mirror loaded from them
+always names epoch 0, and a second update from the synced files is
+refused as stale. Party hosts ingest per-side batches through the
+library's update_split_party; no CLI command sends them. The ops file
+is one JSON object per line:
   {\"op\": \"set\",    \"side\": \"alice|bob\", \"row\": R, \"col\": C, \"val\": V}
   {\"op\": \"delete\", \"side\": \"alice|bob\", \"row\": R, \"col\": C}
   {\"op\": \"append-row\", \"side\": \"alice|bob\", \"entries\": \"IDX:VAL,IDX:VAL,...\"}
@@ -152,12 +152,7 @@ impl Flags {
         while i < args.len() {
             let a = &args[i];
             if let Some(key) = a.strip_prefix("--") {
-                if key == "exact"
-                    || key == "quick"
-                    || key == "updatable"
-                    || key == "peer-binary"
-                    || key == "no-obs"
-                {
+                if key == "exact" || key == "quick" || key == "peer-binary" || key == "no-obs" {
                     map.insert(key.to_string(), "true".to_string());
                 } else {
                     i += 1;
@@ -233,12 +228,12 @@ fn known_flags(subcommand: &str) -> Option<&'static str> {
         }
         "stats" => "connect format",
         "shutdown" => "connect",
-        "party" => "listen side a b updatable matrix peer-rows peer-cols peer-binary",
+        "party" => "listen side a b matrix peer-rows peer-cols peer-binary",
         "query" => {
             "connect party a b matrix peer-rows peer-cols peer-binary peer-fp side format \
              at-epoch io-timeout reply-timeout seed eps p kappa phi hh-eps t slack"
         }
-        "update" => "connect party a b ops out-a out-b io-timeout reply-timeout",
+        "update" => "connect a b ops out-a out-b io-timeout reply-timeout",
         _ => return None,
     })
 }
@@ -396,6 +391,16 @@ fn canonical_protocol(name: &str) -> Result<&'static str, String> {
         .ok_or_else(|| unknown_protocol(name))
 }
 
+/// The norm a numeric `--p` names: `0` is [`PNorm::Zero`], since the
+/// protocols take p = 0 only in that form and reject `PNorm::P(0.0)`.
+fn pnorm(p: f64) -> PNorm {
+    if p == 0.0 {
+        PNorm::Zero
+    } else {
+        PNorm::P(p)
+    }
+}
+
 /// Parses a protocol word plus its flags into the uniform request shape.
 fn parse_request(protocol: &str, flags: &Flags) -> Result<EstimateRequest, String> {
     Ok(match protocol {
@@ -404,7 +409,7 @@ fn parse_request(protocol: &str, flags: &Flags) -> Result<EstimateRequest, Strin
                 "l0" => PNorm::Zero,
                 "l1" => PNorm::ONE,
                 "l2" => PNorm::TWO,
-                _ => PNorm::P(flags.required_num::<f64>("p")?),
+                _ => pnorm(flags.required_num("p")?),
             };
             EstimateRequest::LpNorm {
                 p,
@@ -413,7 +418,7 @@ fn parse_request(protocol: &str, flags: &Flags) -> Result<EstimateRequest, Strin
         }
         "lp-baseline" => {
             let p = flags.str("p").map_or(Ok(PNorm::Zero), |s| {
-                s.parse::<f64>().map(PNorm::P).map_err(|e| e.to_string())
+                s.parse::<f64>().map(pnorm).map_err(|e| e.to_string())
             })?;
             EstimateRequest::LpBaseline {
                 p,
@@ -1189,18 +1194,32 @@ fn parse_side(flags: &Flags, default: Party) -> Result<Party, String> {
     }
 }
 
-/// Loads the storage-split view for `side`: only this party's matrix
-/// comes off disk (`--matrix`); the peer is known by its public
-/// metadata alone (`--peer-rows`, `--peer-cols`, `--peer-binary`).
+/// Loads the storage-split view for `side`. With `--matrix`, only this
+/// party's matrix comes off disk; the peer is known by its public
+/// metadata alone (`--peer-rows`, `--peer-cols`, `--peer-binary`). With
+/// `--a`/`--b`, both files are read and the view keeps only `side`'s
+/// half.
 fn load_party_view(flags: &Flags, side: Party) -> Result<PartyView, String> {
-    let own =
-        io::read_csr(Path::new(flags.required("matrix")?)).map_err(|e| format!("--matrix: {e}"))?;
-    let peer = PeerInfo::new(
-        flags.required_num("peer-rows")?,
-        flags.required_num("peer-cols")?,
-        flags.str("peer-binary").is_some(),
-    );
-    let view = PartyView::new(side, own, peer);
+    let view = if flags.str("matrix").is_some() {
+        if flags.str("a").is_some() || flags.str("b").is_some() {
+            return Err(
+                "--matrix (storage-split, one half) and --a/--b (full pair) \
+                 are mutually exclusive"
+                    .to_string(),
+            );
+        }
+        let own = io::read_csr(Path::new(flags.required("matrix")?))
+            .map_err(|e| format!("--matrix: {e}"))?;
+        let peer = PeerInfo::new(
+            flags.required_num("peer-rows")?,
+            flags.required_num("peer-cols")?,
+            flags.str("peer-binary").is_some(),
+        );
+        PartyView::new(side, own, peer)
+    } else {
+        let (a, b) = load_pair(flags)?;
+        Session::new(a, b).party_view(side)
+    };
     // Surface an inner-dimension mismatch now, at the CLI boundary,
     // instead of at the first run (this also warms the derived views).
     view.warm_views().map_err(|e| e.to_string())?;
@@ -1209,59 +1228,24 @@ fn load_party_view(flags: &Flags, side: Party) -> Result<PartyView, String> {
 
 /// `mpest party`: host one side of remote two-party runs (blocks).
 ///
-/// With `--matrix`, the host is **storage-split**: it loads only its
-/// own half, never sees the peer's entries, cross-checks every
-/// connection's `party-hello` handshake, and ingests per-side update
-/// batches between runs. With `--a`/`--b`, it is the legacy role-split
-/// form holding the full pair; `--updatable` additionally accepts
-/// `mpest update --party` batches.
+/// The host is **storage-split**: it holds only its own half (from
+/// `--matrix`, or kept from `--a`/`--b`), never sees the peer's
+/// entries, cross-checks every connection's `party-hello` handshake,
+/// and ingests per-side update batches between runs.
 fn cmd_party(flags: &Flags) -> Result<(), String> {
     use mpest::net::PartyHost;
     let addr = flags.str("listen").unwrap_or("127.0.0.1:7118");
     let side = parse_side(flags, Party::Bob)?;
-    if flags.str("matrix").is_some() {
-        if flags.str("a").is_some() || flags.str("b").is_some() {
-            return Err(
-                "--matrix (storage-split, one half) and --a/--b (full pair) \
-                 are mutually exclusive"
-                    .to_string(),
-            );
-        }
-        let view = load_party_view(flags, side)?;
-        let (rows, cols) = view.own_shape();
-        let host =
-            PartyHost::spawn_split(addr, view).map_err(|e| format!("--listen {addr}: {e}"))?;
-        println!(
-            "mpest party: playing {side} on {} holding only the {rows}x{cols} \
-             {} half (storage-split; per-side updates accepted) — initiators \
-             run `mpest query PROTOCOL --party {} --side {} --matrix THEIR.mtx \
-             --peer-rows {rows} --peer-cols {cols} ...`",
-            host.addr(),
-            side.half_label(),
-            host.addr(),
-            side.peer().as_str(),
-        );
-        host.wait();
-        return Ok(());
-    }
-    let updatable = flags.str("updatable").is_some();
-    let (a, b) = load_pair(flags)?;
-    let session = Session::new(a, b);
-    let host = if updatable {
-        PartyHost::spawn_updatable(addr, session, side)
-    } else {
-        PartyHost::spawn(addr, std::sync::Arc::new(session), side)
-    }
-    .map_err(|e| format!("--listen {addr}: {e}"))?;
+    let view = load_party_view(flags, side)?;
+    let (rows, cols) = view.own_shape();
+    let host = PartyHost::spawn_split(addr, view).map_err(|e| format!("--listen {addr}: {e}"))?;
     println!(
-        "mpest party: playing {side} on {}{} — initiators run \
-         `mpest query PROTOCOL --party {} --side {} ...` with the same matrices",
+        "mpest party: playing {side} on {} holding only the {rows}x{cols} \
+         {} half (storage-split; per-side updates accepted) — initiators \
+         run `mpest query PROTOCOL --party {} --side {} --matrix THEIR.mtx \
+         --peer-rows {rows} --peer-cols {cols} ...`",
         host.addr(),
-        if updatable {
-            " (updatable: accepts `mpest update --party` batches)"
-        } else {
-            ""
-        },
+        side.half_label(),
         host.addr(),
         side.peer().as_str(),
     );
@@ -1275,16 +1259,20 @@ fn cmd_query(protocol: &str, flags: &Flags) -> Result<(), String> {
     let request = parse_request(protocol, flags)?;
     let format = parse_format(flags)?;
     let seed: u64 = flags.num("seed", 42u64)?;
-    if flags.str("matrix").is_some() {
-        return query_split(protocol, &request, format, seed, flags);
-    }
-    let (a, b) = load_pair(flags)?;
-    let binarize = is_binary_request(&request) && !(a.is_binary() && b.is_binary());
-    let as_binary = |m: &CsrMatrix| BitMatrix::from_csr(m).to_csr();
-
     match (flags.str("connect"), flags.str("party")) {
         (Some(addr), None) => {
             use mpest::net::ServeClient;
+            if flags.str("matrix").is_some() {
+                return Err(
+                    "--matrix loads only this party's half and requires --party ADDR \
+                     (a storage-split run); --connect uploads the full pair, use \
+                     --a/--b there"
+                        .to_string(),
+                );
+            }
+            let (a, b) = load_pair(flags)?;
+            let binarize = is_binary_request(&request) && !(a.is_binary() && b.is_binary());
+            let as_binary = |m: &CsrMatrix| BitMatrix::from_csr(m).to_csr();
             let (qa, qb) = if binarize {
                 eprintln!("note: binarizing integer inputs (nonzero -> 1) for {protocol}");
                 (as_binary(&a), as_binary(&b))
@@ -1344,54 +1332,7 @@ fn cmd_query(protocol: &str, flags: &Flags) -> Result<(), String> {
             }
             Ok(())
         }
-        (None, Some(addr)) => {
-            use mpest::net::run_with_party_with;
-            if flags.str("at-epoch").is_some() {
-                return Err(
-                    "--at-epoch pins a daemon session's epoch and requires --connect; \
-                     a two-party run always executes over the host's current pair"
-                        .to_string(),
-                );
-            }
-            // A remote two-party run needs both processes to hold the
-            // same pair; binarizing only this side would desynchronize
-            // the run (and `mpest party` serves the files as given).
-            if binarize {
-                return Err(format!(
-                    "{protocol} requires binary matrices, but the inputs are \
-                     integer-valued; auto-binarizing only the initiator would \
-                     desynchronize the remote run. Binarize the files first \
-                     (e.g. mpest gen --kind bernoulli) so both the party host \
-                     and this side load the same pair, or use --connect."
-                ));
-            }
-            let side = parse_side(flags, Party::Alice)?;
-            let io_timeout = parse_timeout(flags, "io-timeout", 30)?;
-            let session = Session::new(a, b);
-            let (report, out, inn) =
-                run_with_party_with(addr, &session, side, &request, Seed(seed), io_timeout)
-                    .map_err(|e| e.to_string())?;
-            match format {
-                Format::Json => {
-                    let extra = vec![
-                        format!("\"seed\": {seed}"),
-                        format!("\"side\": \"{}\"", side.as_str()),
-                        format!("\"wire_bytes_out\": {out}"),
-                        format!("\"wire_bytes_in\": {inn}"),
-                    ];
-                    println!("{}", report_json(&report, &extra));
-                }
-                Format::Text => {
-                    print_report(&report);
-                    println!("  remote run playing {side} against {addr}");
-                    println!(
-                        "  real wire  = {out} bytes out, {inn} bytes in ({} logical payload bytes)",
-                        report.bits().div_ceil(8),
-                    );
-                }
-            }
-            Ok(())
-        }
+        (None, Some(addr)) => query_split(addr, protocol, &request, format, seed, flags),
         (Some(_), Some(_)) => Err("--connect and --party are mutually exclusive".to_string()),
         (None, None) => Err("query needs --connect ADDR or --party ADDR".to_string()),
     }
@@ -1410,10 +1351,11 @@ fn parse_peer_fp(flags: &Flags) -> Result<Option<u64>, String> {
     parsed.map(Some).map_err(|e| format!("bad --peer-fp: {e}"))
 }
 
-/// The storage-split `mpest query --party` path: this process loads
-/// only `--matrix` and plays `--side` against a `mpest party --matrix`
-/// host, opening with the `party-hello` cross-check.
+/// The storage-split `mpest query --party` path: this process holds
+/// only `--side`'s half and plays it against a `mpest party` host,
+/// opening with the `party-hello` cross-check.
 fn query_split(
+    addr: &str,
     protocol: &str,
     request: &EstimateRequest,
     format: Format,
@@ -1421,21 +1363,6 @@ fn query_split(
     flags: &Flags,
 ) -> Result<(), String> {
     use mpest::net::run_with_party_view_with;
-    let Some(addr) = flags.str("party") else {
-        return Err(
-            "--matrix loads only this party's half and requires --party ADDR \
-             (a storage-split run); --connect uploads the full pair, use \
-             --a/--b there"
-                .to_string(),
-        );
-    };
-    if flags.str("a").is_some() || flags.str("b").is_some() {
-        return Err(
-            "--matrix (storage-split, one half) and --a/--b (full pair) are \
-             mutually exclusive"
-                .to_string(),
-        );
-    }
     if flags.str("at-epoch").is_some() {
         return Err(
             "--at-epoch pins a daemon session's epoch and requires --connect; \
@@ -1598,11 +1525,11 @@ fn load_ops(path: &Path) -> Result<UpdateBatch, String> {
 }
 
 /// `mpest update`: push a live mutation batch into a daemon's cached
-/// session (`--connect`) or an updatable party host (`--party`). The
-/// local files are the mirror: they name the remote session and are
-/// re-written in sync after the remote acknowledges.
+/// session. The local files are the mirror: they name the remote
+/// session and are re-written in sync after the daemon acknowledges.
 fn cmd_update(flags: &Flags) -> Result<(), String> {
-    use mpest::net::{fingerprint, update_party, ServeClient};
+    use mpest::net::{fingerprint, ServeClient};
+    let addr = flags.required("connect")?;
     let (a, b) = load_pair(flags)?;
     let batch = load_ops(Path::new(flags.required("ops")?))?;
     let out_a = PathBuf::from(flags.str("out-a").unwrap_or(flags.required("a")?));
@@ -1610,52 +1537,38 @@ fn cmd_update(flags: &Flags) -> Result<(), String> {
     let io_timeout = parse_timeout(flags, "io-timeout", 30)?;
     let mut mirror = Session::new(a, b);
 
-    match (flags.str("connect"), flags.str("party")) {
-        (Some(addr), None) => {
-            let reply_timeout = parse_timeout(flags, "reply-timeout", 600)?;
-            let mut client = ServeClient::connect_with(addr, reply_timeout, io_timeout)
-                .map_err(|e| e.to_string())?;
-            let outcome = {
-                let (ca, cb) = mirror.csr_halves().map_err(|e| e.to_string())?;
-                client.update(ca, cb, mirror.epoch(), &batch)
-            }
-            .map_err(|e| e.to_string())?;
-            mirror.apply_update(&batch).map_err(|e| e.to_string())?;
-            let (la, lb) = {
-                let (ca, cb) = mirror.csr_halves().map_err(|e| e.to_string())?;
-                (fingerprint(ca), fingerprint(cb))
-            };
-            if (la, lb) != (outcome.fp_a, outcome.fp_b) || mirror.epoch() != outcome.epoch {
-                return Err(format!(
-                    "local mirror diverged from the daemon after the update: \
-                     daemon is ({:#x}, {:#x}) at epoch {}, mirror is \
-                     ({la:#x}, {lb:#x}) at epoch {}",
-                    outcome.fp_a,
-                    outcome.fp_b,
-                    outcome.epoch,
-                    mirror.epoch()
-                ));
-            }
-            println!(
-                "update applied: daemon session is now ({:#x}, {:#x}) at epoch {} \
-                 ({} op(s))",
-                outcome.fp_a,
-                outcome.fp_b,
-                outcome.epoch,
-                batch.len()
-            );
-        }
-        (None, Some(addr)) => {
-            let epoch =
-                update_party(addr, &mut mirror, &batch, io_timeout).map_err(|e| e.to_string())?;
-            println!(
-                "update applied: party host is now at epoch {epoch} ({} op(s))",
-                batch.len()
-            );
-        }
-        (Some(_), Some(_)) => return Err("--connect and --party are mutually exclusive".into()),
-        (None, None) => return Err("update needs --connect ADDR or --party ADDR".into()),
+    let reply_timeout = parse_timeout(flags, "reply-timeout", 600)?;
+    let mut client =
+        ServeClient::connect_with(addr, reply_timeout, io_timeout).map_err(|e| e.to_string())?;
+    let outcome = {
+        let (ca, cb) = mirror.csr_halves().map_err(|e| e.to_string())?;
+        client.update(ca, cb, mirror.epoch(), &batch)
     }
+    .map_err(|e| e.to_string())?;
+    mirror.apply_update(&batch).map_err(|e| e.to_string())?;
+    let (la, lb) = {
+        let (ca, cb) = mirror.csr_halves().map_err(|e| e.to_string())?;
+        (fingerprint(ca), fingerprint(cb))
+    };
+    if (la, lb) != (outcome.fp_a, outcome.fp_b) || mirror.epoch() != outcome.epoch {
+        return Err(format!(
+            "local mirror diverged from the daemon after the update: \
+             daemon is ({:#x}, {:#x}) at epoch {}, mirror is \
+             ({la:#x}, {lb:#x}) at epoch {}",
+            outcome.fp_a,
+            outcome.fp_b,
+            outcome.epoch,
+            mirror.epoch()
+        ));
+    }
+    println!(
+        "update applied: daemon session is now ({:#x}, {:#x}) at epoch {} \
+         ({} op(s))",
+        outcome.fp_a,
+        outcome.fp_b,
+        outcome.epoch,
+        batch.len()
+    );
 
     let (ca, cb) = mirror.csr_halves().map_err(|e| e.to_string())?;
     io::write_csr(ca, &out_a).map_err(|e| format!("--out-a {}: {e}", out_a.display()))?;
@@ -1876,6 +1789,17 @@ mod tests {
             dispatch(&args("run l0 --sede 7")).unwrap_err(),
             "unknown flag --sede for run"
         );
+        assert_eq!(
+            dispatch(&args("party --updatable --a a.mtx --b b.mtx")).unwrap_err(),
+            "unknown flag --updatable for party"
+        );
+        assert_eq!(
+            dispatch(&args(
+                "update --party 127.0.0.1:9 --a a.mtx --b b.mtx --ops o.jsonl"
+            ))
+            .unwrap_err(),
+            "unknown flag --party for update"
+        );
         // Every accepted flag is one USAGE documents.
         for subcommand in [
             "gen", "exact", "run", "batch", "verify", "serve", "stats", "shutdown", "party",
@@ -1910,6 +1834,26 @@ mod tests {
         assert!(err.contains("per-request \"seed\""), "got: {err}");
         let err = request_from_map(line(r#"{"eps": 0.2}"#)).unwrap_err();
         assert!(err.contains("protocol"), "got: {err}");
+    }
+
+    #[test]
+    fn p_zero_parses_to_the_zero_norm() {
+        let p_of = |protocol: &str, p: &str| {
+            let flags = Flags(HashMap::from([("p".to_string(), p.to_string())]));
+            match parse_request(protocol, &flags).unwrap() {
+                EstimateRequest::LpNorm { p, .. } | EstimateRequest::LpBaseline { p, .. } => p,
+                other => panic!("{protocol} parsed to {}", other.name()),
+            }
+        };
+        for protocol in ["lp", "lp-baseline"] {
+            assert_eq!(p_of(protocol, "0"), PNorm::Zero, "{protocol}");
+            assert_eq!(p_of(protocol, "1.5"), PNorm::P(1.5), "{protocol}");
+        }
+        let line = parse_jsonl_object(r#"{"protocol": "lp", "p": 0}"#).unwrap();
+        assert!(matches!(
+            request_from_map(line),
+            Ok((EstimateRequest::LpNorm { p: PNorm::Zero, .. }, None))
+        ));
     }
 
     #[test]

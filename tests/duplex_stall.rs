@@ -93,7 +93,9 @@ fn run_side(
         if duplex {
             let conn = FramedConn::establish(stream)?;
             let mut conn = DuplexConn::from_framed(conn, Some(Duration::from_secs(30)))?;
-            let report = session.estimate_remote(&request, seed, side, &mut conn)?;
+            let report = session
+                .party_view(side)
+                .estimate_remote(&request, seed, &mut conn)?;
             // A completed recv does not order this side's spooled sends:
             // flush them so the peer's own output read can finish (the
             // party/serve layers drain the same way after every run).
@@ -107,7 +109,9 @@ fn run_side(
                 .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(2))))
                 .map_err(|e| CommError::frame("socket", format!("timeouts: {e}")))?;
             let mut conn = FramedConn::establish(stream)?;
-            session.estimate_remote(&request, seed, side, &mut conn)
+            session
+                .party_view(side)
+                .estimate_remote(&request, seed, &mut conn)
         }
     })
 }

@@ -6,9 +6,8 @@
 //! drive the loopback network stack of `mpest-net` (framed codec,
 //! remote link, party host, serve daemon) end to end.
 
-use mpest::net::{run_with_party, PartyHost, ServeClient, Server};
+use mpest::net::{run_with_party_view, PartyHost, ServeClient, Server};
 use mpest::prelude::*;
-use std::sync::Arc;
 
 fn pair() -> (BitMatrix, BitMatrix) {
     (
@@ -27,10 +26,9 @@ fn remote_matches_local_for_every_protocol_and_seed() {
     let (a, b) = pair();
     let requests = EstimateRequest::catalog();
     assert_eq!(requests.len(), 14, "one request per protocol");
-    let host = PartyHost::spawn(
+    let host = PartyHost::spawn_split(
         "127.0.0.1:0",
-        Arc::new(Session::new(a.clone(), b.clone())),
-        Party::Bob,
+        Session::new(a.clone(), b.clone()).party_view(Party::Bob),
     )
     .expect("bind loopback party host");
     let addr = host.addr().to_string();
@@ -43,10 +41,11 @@ fn remote_matches_local_for_every_protocol_and_seed() {
             let local = session
                 .estimate_seeded(request, seed)
                 .unwrap_or_else(|e| panic!("{} (local, seed {session_seed}): {e}", request.name()));
-            let (remote, out, inn) = run_with_party(&addr, &session, Party::Alice, request, seed)
-                .unwrap_or_else(|e| {
-                    panic!("{} (remote, seed {session_seed}): {e}", request.name())
-                });
+            let (remote, out, inn) =
+                run_with_party_view(&addr, &session.party_view(Party::Alice), request, seed)
+                    .unwrap_or_else(|e| {
+                        panic!("{} (remote, seed {session_seed}): {e}", request.name())
+                    });
             assert_eq!(
                 remote.output,
                 local.output,
@@ -131,10 +130,9 @@ fn serve_round_trip_matches_local_for_every_protocol() {
 #[test]
 fn remote_roles_are_symmetric() {
     let (a, b) = pair();
-    let host = PartyHost::spawn(
+    let host = PartyHost::spawn_split(
         "127.0.0.1:0",
-        Arc::new(Session::new(a.clone(), b.clone())),
-        Party::Alice,
+        Session::new(a.clone(), b.clone()).party_view(Party::Alice),
     )
     .expect("bind");
     let session = Session::new(a, b);
@@ -148,10 +146,9 @@ fn remote_roles_are_symmetric() {
         EstimateRequest::AtLeastTJoin { t: 2, slack: 0.5 },
     ] {
         let local = session.estimate_seeded(&request, Seed(11)).unwrap();
-        let (remote, _, _) = run_with_party(
+        let (remote, _, _) = run_with_party_view(
             &host.addr().to_string(),
-            &session,
-            Party::Bob,
+            &session.party_view(Party::Bob),
             &request,
             Seed(11),
         )
@@ -168,29 +165,26 @@ fn remote_errors_match_local_errors() {
     // Non-binary integer pair: binary-only protocols must fail.
     let a = Workloads::integer_csr(8, 10, 0.4, 5, false, 1);
     let b = Workloads::integer_csr(10, 8, 0.4, 5, false, 2);
-    let host = PartyHost::spawn(
+    let host = PartyHost::spawn_split(
         "127.0.0.1:0",
-        Arc::new(Session::new(a.clone(), b.clone())),
-        Party::Bob,
+        Session::new(a.clone(), b.clone()).party_view(Party::Bob),
     )
     .expect("bind");
     let session = Session::new(a, b);
     let request = EstimateRequest::TrivialBinary;
     let local_err = session.estimate_seeded(&request, Seed(3)).unwrap_err();
-    let remote_err = run_with_party(
+    let remote_err = run_with_party_view(
         &host.addr().to_string(),
-        &session,
-        Party::Alice,
+        &session.party_view(Party::Alice),
         &request,
         Seed(3),
     )
     .unwrap_err();
     assert_eq!(remote_err, local_err, "validation errors are identical");
     // The connection (and host) survive for a follow-up valid run.
-    let ok = run_with_party(
+    let ok = run_with_party_view(
         &host.addr().to_string(),
-        &session,
-        Party::Alice,
+        &session.party_view(Party::Alice),
         &EstimateRequest::ExactL1,
         Seed(3),
     )
@@ -213,14 +207,16 @@ fn remote_errors_match_local_errors() {
 fn bench_serve_trajectory_is_deterministic_and_dominant() {
     let (a, b) = pair();
     let session = Session::new(a.clone(), b.clone());
-    let host =
-        PartyHost::spawn("127.0.0.1:0", Arc::new(Session::new(a, b)), Party::Bob).expect("bind");
+    let host = PartyHost::spawn_split("127.0.0.1:0", Session::new(a, b).party_view(Party::Bob))
+        .expect("bind");
     let addr = host.addr().to_string();
     for request in EstimateRequest::catalog() {
-        let (r1, out1, in1) = run_with_party(&addr, &session, Party::Alice, &request, Seed(9))
-            .unwrap_or_else(|e| panic!("{}: {e}", request.name()));
-        let (r2, out2, in2) = run_with_party(&addr, &session, Party::Alice, &request, Seed(9))
-            .unwrap_or_else(|e| panic!("{}: {e}", request.name()));
+        let (r1, out1, in1) =
+            run_with_party_view(&addr, &session.party_view(Party::Alice), &request, Seed(9))
+                .unwrap_or_else(|e| panic!("{}: {e}", request.name()));
+        let (r2, out2, in2) =
+            run_with_party_view(&addr, &session.party_view(Party::Alice), &request, Seed(9))
+                .unwrap_or_else(|e| panic!("{}: {e}", request.name()));
         assert_eq!(r1, r2, "{} reports differ across reruns", request.name());
         assert_eq!(
             (out1, in1),

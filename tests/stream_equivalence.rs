@@ -7,7 +7,9 @@
 //! bit-identical (and the party host's live session in lockstep with an
 //! initiator's).
 
-use mpest::net::{fingerprint, run_with_party, update_party, PartyHost, ServeClient, Server};
+use mpest::net::{
+    fingerprint, run_with_party_view, update_split_party, PartyHost, ServeClient, Server,
+};
 use mpest::prelude::*;
 
 /// Runs the full 14-protocol catalog on both sessions under identical
@@ -313,17 +315,17 @@ fn daemon_updates_leave_served_and_local_bit_identical() {
     server.shutdown();
 }
 
-/// The party path: an updatable host accepts `KIND_UPDATE` between
-/// runs, `update_party` keeps the initiator's mirror in lockstep, and
-/// remote runs after each mutation stay bit-identical to local ones.
+/// The party path: a party host accepts `KIND_UPDATE` between runs,
+/// `update_split_party` keeps its half in lockstep with the initiator's
+/// mirror, and remote runs after each mutation stay bit-identical to
+/// local ones.
 #[test]
 fn party_updates_keep_remote_runs_bit_identical() {
     let a = Workloads::bernoulli_bits(12, 16, 0.3, 51);
     let b = Workloads::bernoulli_bits(16, 12, 0.3, 52);
-    let host = PartyHost::spawn_updatable(
+    let host = PartyHost::spawn_split(
         "127.0.0.1:0",
-        Session::new(a.clone(), b.clone()),
-        Party::Bob,
+        Session::new(a.clone(), b.clone()).party_view(Party::Bob),
     )
     .expect("bind updatable host");
     let addr = host.addr().to_string();
@@ -338,23 +340,25 @@ fn party_updates_keep_remote_runs_bit_identical() {
         },
     ];
     for step in 0..3u64 {
-        let batch = UpdateBatch::new()
-            .set_entry(
-                UpdateSide::Alice,
-                (step % 12) as u32,
-                (step * 3 % 16) as u32,
-                1,
-            )
+        let bob_ops = UpdateBatch::new()
             .delete_entry(UpdateSide::Bob, (step * 5 % 16) as u32, (step % 12) as u32)
             .append_row(UpdateSide::Bob, vec![((step % 16) as u32, 1)]);
-        let epoch = update_party(&addr, &mut mirror, &batch, None)
+        let batch = bob_ops.clone().set_entry(
+            UpdateSide::Alice,
+            (step % 12) as u32,
+            (step * 3 % 16) as u32,
+            1,
+        );
+        let (_, epoch) = update_split_party(&addr, Party::Bob, 0, mirror.epoch(), &bob_ops, None)
             .unwrap_or_else(|e| panic!("update step {step}: {e}"));
+        mirror.apply_update(&batch).unwrap();
         assert_eq!(epoch, mirror.epoch(), "remote and mirror epochs agree");
         for (i, request) in spot_checks.iter().enumerate() {
             let seed = Seed(3000 + step * 16 + i as u64);
             let local = mirror.estimate_seeded(request, seed).unwrap();
-            let (remote, _, _) = run_with_party(&addr, &mirror, Party::Alice, request, seed)
-                .unwrap_or_else(|e| panic!("{} step {step}: {e}", request.name()));
+            let (remote, _, _) =
+                run_with_party_view(&addr, &mirror.party_view(Party::Alice), request, seed)
+                    .unwrap_or_else(|e| panic!("{} step {step}: {e}", request.name()));
             assert_eq!(remote.output, local.output, "{} output", request.name());
             assert_eq!(
                 remote.transcript.records,
@@ -367,14 +371,16 @@ fn party_updates_keep_remote_runs_bit_identical() {
 
     // A stale mirror (out-of-date epoch) is rejected typed and leaves
     // the host's session untouched for the next valid run.
-    let mut stale = {
+    let stale = {
         let (x, y) = mirror.csr_halves().unwrap();
         Session::new(x.clone(), y.clone())
     };
-    let err = update_party(
+    let err = update_split_party(
         &addr,
-        &mut stale,
-        &UpdateBatch::new().set_entry(UpdateSide::Alice, 0, 0, 1),
+        Party::Bob,
+        0,
+        stale.epoch(),
+        &UpdateBatch::new().set_entry(UpdateSide::Bob, 0, 0, 1),
         None,
     )
     .unwrap_err();
@@ -389,8 +395,13 @@ fn party_updates_keep_remote_runs_bit_identical() {
     );
     let request = EstimateRequest::ExactL1;
     let local = mirror.estimate_seeded(&request, Seed(4001)).unwrap();
-    let (remote, _, _) = run_with_party(&addr, &mirror, Party::Alice, &request, Seed(4001))
-        .expect("host survives a stale update");
+    let (remote, _, _) = run_with_party_view(
+        &addr,
+        &mirror.party_view(Party::Alice),
+        &request,
+        Seed(4001),
+    )
+    .expect("host survives a stale update");
     assert_eq!(remote.output, local.output);
     host.shutdown();
 }
